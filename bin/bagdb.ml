@@ -59,10 +59,14 @@ type ctx = {
 }
 
 (* [--jobs N]: size the shared domain pool and plan with Exchange
-   nodes.  The pool is created lazily on first parallel execution. *)
+   nodes.  The planner never cuts more than [min jobs cores] fragments,
+   so the pool gets no more lanes than that: a surplus domain would sit
+   idle yet still have to synchronise with every minor GC.  The pool is
+   created lazily on first parallel execution. *)
 let set_jobs jobs =
   if jobs < 1 then invalid_arg "--jobs must be at least 1";
-  Mxra_ext.Pool.set_default_size jobs;
+  Mxra_ext.Pool.set_default_size
+    (min jobs (Mxra_engine.Planner.available_cores ()));
   jobs
 
 let merge_totals master src =

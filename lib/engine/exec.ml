@@ -4,7 +4,6 @@ module Trace = Mxra_obs.Trace
 module Ash = Mxra_obs.Ash
 module Pool = Mxra_ext.Pool
 module Index = Mxra_ext.Index
-module Feedback = Mxra_ext.Parallel.Feedback
 
 module TH = Hashtbl.Make (struct
   type t = Tuple.t
@@ -66,16 +65,92 @@ let finalize_state = function
   | S_max (Some v) -> v
   | S_column (kind, domain, column) -> Aggregate.compute_for domain kind column
 
-(* A fragment's output, produced on a pool lane.  The lane id and the
-   measured interval become a per-worker span in the trace (emitted from
-   the coordinating domain — sinks are not required to be thread-safe),
-   so Chrome/Perfetto shows one lane per domain. *)
-type fragment_out = {
-  frag_rows : (Tuple.t * int) array;
-  frag_lane : int;
-  frag_start : float;
-  frag_dur : float;
-}
+(* Combine two partial accumulator states of the same aggregate: counts
+   and integer sums add, extrema keep the extremum, buffered columns
+   concatenate (their final computation canonicalises the order, so the
+   combined result is bit-identical to the sequential one). *)
+let combine_state a b =
+  match (a, b) with
+  | S_cnt x, S_cnt y -> S_cnt (x + y)
+  | S_sum_int x, S_sum_int y -> S_sum_int (x + y)
+  | S_min x, S_min y ->
+      S_min
+        (match (x, y) with
+        | None, w | w, None -> w
+        | Some v, Some w ->
+            Some (if Value.compare_same_domain v w < 0 then v else w))
+  | S_max x, S_max y ->
+      S_max
+        (match (x, y) with
+        | None, w | w, None -> w
+        | Some v, Some w ->
+            Some (if Value.compare_same_domain v w > 0 then v else w))
+  | S_column (kind, domain, c1), S_column (_, _, c2) ->
+      S_column (kind, domain, List.rev_append c1 c2)
+  | (S_cnt _ | S_sum_int _ | S_min _ | S_max _ | S_column _), _ ->
+      invalid_arg "Exec: mismatched partial aggregate states"
+
+let initial_states input_schema aggs =
+  Array.of_list
+    (List.map
+       (fun (kind, p) -> initial_state kind (Schema.domain input_schema p))
+       aggs)
+
+(* Γ's group-accumulate kernel, shared by the sequential operator and
+   every Exchange fragment: fold the counted rows [iter] yields into one
+   state array per grouping-key tuple. *)
+let accumulate_groups input_schema attrs aggs iter =
+  let positions = Array.of_list (List.map snd aggs) in
+  let groups = TH.create 64 in
+  iter (fun (tuple, n) ->
+      let key = Tuple.project attrs tuple in
+      let states =
+        match TH.find_opt groups key with
+        | Some states -> states
+        | None ->
+            let states = initial_states input_schema aggs in
+            TH.add groups key states;
+            states
+      in
+      Array.iteri
+        (fun i state ->
+          states.(i) <- update_state state (Tuple.attr tuple positions.(i)) n)
+        states);
+  groups
+
+(* The output rows of accumulated groups.  Definition 3.4: with an empty
+   grouping list the result is one tuple even over the empty input. *)
+let group_rows input_schema attrs aggs groups =
+  if attrs = [] && TH.length groups = 0 then
+    TH.add groups Tuple.unit (initial_states input_schema aggs);
+  Seq.map
+    (fun (key, states) ->
+      let values = Array.to_list (Array.map finalize_state states) in
+      (Tuple.concat key (Tuple.of_list values), 1))
+    (TH.to_seq groups)
+
+(* ⋈'s build/probe kernel, shared by the sequential hash join and every
+   Exchange join fragment.  The build hashes the right rows [iter]
+   yields on their key projection, one list of rows per distinct key;
+   [probe] emits every residual-passing match of one left row. *)
+let build_table right_keys iter =
+  let table = TH.create 256 in
+  iter (fun ((tuple, _) as row) ->
+      let key = Tuple.project right_keys tuple in
+      match TH.find_opt table key with
+      | Some rows -> TH.replace table key (row :: rows)
+      | None -> TH.add table key [ row ]);
+  table
+
+let probe table ~left_keys ~residual emit (ltuple, ln) =
+  match TH.find_opt table (Tuple.project left_keys ltuple) with
+  | None -> ()
+  | Some matches ->
+      List.iter
+        (fun (rtuple, rn) ->
+          let combined = Tuple.concat ltuple rtuple in
+          if Pred.eval combined residual then emit (combined, ln * rn))
+        matches
 
 (* --- chunked streams --------------------------------------------------- *)
 
@@ -181,6 +256,24 @@ let chunks_of_bag size bag =
 
 let concat_chunks cs = Array.concat (List.of_seq cs)
 
+(* The expanding operators' output side (joins, products): [each emit
+   row] emits any number of output rows per input row, re-chunked at
+   [size] through one reused buffer so a probe chunk fanning out stays
+   nursery-sized. *)
+let expand_chunks size each chunks =
+  let out = Vec.create size in
+  let expand c =
+    let outs = ref [] in
+    let emit x =
+      Vec.push out x;
+      if out.Vec.len >= size then outs := Vec.flush out :: !outs
+    in
+    Array.iter (each emit) c;
+    if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
+    List.to_seq (List.rev !outs)
+  in
+  Seq.concat_map expand chunks
+
 (* --- plan execution ---------------------------------------------------- *)
 
 (* Collapse a chunk stream into a per-tuple count table. *)
@@ -244,6 +337,77 @@ let with_progress root base =
                 s);
       }
 
+(* --- parallel execution of an Exchange node ---------------------------- *)
+
+(* Run [work] on each fragment input on the global pool (each fragment is
+   one morsel) and return the outputs in fragment order, with the summed
+   fragment time in ms.  [rows] sizes a fragment's input; the largest is
+   reported as [max-part], the bound on the Exchange's work balance
+   (total input / max-part).  Each fragment's lane id and interval become
+   a per-worker span in the trace, emitted from the coordinating domain —
+   sinks are not required to be thread-safe — so Chrome/Perfetto shows
+   one lane per domain. *)
+let on_pool ~observe ~name ~rows work inputs =
+  let timed =
+    Pool.map_array ~chunk:1 (Pool.global ())
+      (fun input ->
+        let t0 = Trace.now_us () in
+        let out = work input in
+        (out, (Stdlib.Domain.self () :> int), t0, Trace.now_us () -. t0))
+      inputs
+  in
+  let sizes = Array.map rows inputs in
+  observe "parts" (Array.length inputs);
+  observe "max-part" (Array.fold_left max 0 sizes);
+  if Trace.enabled () then
+    Array.iteri
+      (fun i (_, lane, start_us, dur_us) ->
+        Trace.complete name ~tid:lane ~start_us ~dur_us
+          ~attrs:[ ("fragment", Trace.Int i); ("rows", Trace.Int sizes.(i)) ])
+      timed;
+  ( Array.map (fun (out, _, _, _) -> out) timed,
+    Array.fold_left (fun acc (_, _, _, dur) -> acc +. dur) 0.0 timed /. 1000.0 )
+
+(* Contiguous slices are a valid fragmentation for per-tuple operators:
+   σ and π distribute over any ⊎-decomposition (Theorem 3.2). *)
+let slices parts arr =
+  let n = Array.length arr in
+  Array.init parts (fun i ->
+      let lo = i * n / parts and hi = (i + 1) * n / parts in
+      Array.sub arr lo (hi - lo))
+
+(* Hash-partition materialised rows into [parts] buckets on the
+   projected key tuple; co-partitioning two inputs on equal-length key
+   lists aligns matching tuples in same-numbered buckets. *)
+let bucket_rows parts keys rows =
+  let buckets = Array.make parts [] in
+  Array.iter
+    (fun (t, n) ->
+      let slot = Tuple.hash (Tuple.project keys t) land max_int mod parts in
+      buckets.(slot) <- (t, n) :: buckets.(slot))
+    rows;
+  buckets
+
+(* The maximal σ/π pipeline above a source, as one per-tuple function. *)
+let rec pipeline_stages plan =
+  match plan with
+  | Physical.Filter (p, t) ->
+      let src, f = pipeline_stages t in
+      ( src,
+        fun tn ->
+          match f tn with
+          | Some (tup, _) as r when Pred.eval tup p -> r
+          | Some _ | None -> None )
+  | Physical.Project_op (exprs, t) ->
+      let src, f = pipeline_stages t in
+      ( src,
+        fun tn ->
+          Option.map
+            (fun (tup, n) ->
+              (Tuple.of_list (List.map (Scalar.eval tup) exprs), n))
+            (f tn) )
+  | src -> (src, Option.some)
+
 let rec exec ~hooks ~size db plan : chunk Seq.t =
   hooks.around plan (fun () -> exec_node ~hooks ~size db plan)
 
@@ -267,26 +431,15 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
          phase; the structure is shared via the index cache. *)
       let idx = Index.get def (Database.find def.idx_rel db) in
       hooks.observe plan "keys" (Index.distinct_keys idx);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            let key = List.map (fun i -> Tuple.attr ltuple i) outer_keys in
-            Relation.Bag.iter
-              (fun rtuple rn ->
-                let combined = Tuple.concat ltuple rtuple in
-                if Pred.eval combined residual then push (combined, ln * rn))
-              (Index.probe_point idx key))
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db outer)
+      expand_chunks size
+        (fun emit (ltuple, ln) ->
+          let key = List.map (fun i -> Tuple.attr ltuple i) outer_keys in
+          Relation.Bag.iter
+            (fun rtuple rn ->
+              let combined = Tuple.concat ltuple rtuple in
+              if Pred.eval combined residual then emit (combined, ln * rn))
+            (Index.probe_point idx key))
+        (exec ~hooks ~size db outer)
   | Physical.Filter (p, t) ->
       Seq.filter_map
         (fun c ->
@@ -312,138 +465,40 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
   | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
       (* Build on the right, probe (pipelined, chunk at a time) from the
          left. *)
-      let table = TH.create 256 in
       let entries = ref 0 in
-      Seq.iter
-        (Array.iter (fun (tuple, n) ->
-             let key = Tuple.project right_keys tuple in
-             let existing = Option.value ~default:[] (TH.find_opt table key) in
-             incr entries;
-             TH.replace table key ((tuple, n) :: existing)))
-        (exec ~hooks ~size db right);
+      let table =
+        build_table right_keys (fun add ->
+            Seq.iter
+              (Array.iter (fun row ->
+                   incr entries;
+                   add row))
+              (exec ~hooks ~size db right))
+      in
       hooks.observe plan "build" !entries;
       hooks.observe plan "keys" (TH.length table);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            match TH.find_opt table (Tuple.project left_keys ltuple) with
-            | None -> ()
-            | Some matches ->
-                List.iter
-                  (fun (rtuple, rn) ->
-                    let combined = Tuple.concat ltuple rtuple in
-                    if Pred.eval combined residual then
-                      push (combined, ln * rn))
-                  matches)
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db left)
-  | Physical.Merge_join { left_keys; right_keys; residual; left; right; _ } ->
-      (* Sort both inputs by their key projections and merge key groups.
-         Both sides materialise; output is emitted lazily per group
-         pair. *)
-      let keyed keys chunks =
-        let rows = concat_chunks chunks in
-        let arr = Array.map (fun (t, n) -> (Tuple.project keys t, t, n)) rows in
-        Array.sort (fun (k1, _, _) (k2, _, _) -> Tuple.compare k1 k2) arr;
-        arr
-      in
-      let ls = keyed left_keys (exec ~hooks ~size db left) in
-      let rs = keyed right_keys (exec ~hooks ~size db right) in
-      hooks.observe plan "sorted-left" (Array.length ls);
-      hooks.observe plan "sorted-right" (Array.length rs);
-      let group arr i =
-        let key, _, _ = arr.(i) in
-        let rec last j =
-          if j + 1 < Array.length arr
-             && Tuple.compare key (let k, _, _ = arr.(j + 1) in k) = 0
-          then last (j + 1)
-          else j
-        in
-        (key, last i)
-      in
-      let out = Vec.create size in
-      let rec merge i j () =
-        if i >= Array.length ls || j >= Array.length rs then Seq.Nil
-        else
-          let lk, li = group ls i in
-          let rk, rj = group rs j in
-          let c = Tuple.compare lk rk in
-          if c < 0 then merge (li + 1) j ()
-          else if c > 0 then merge i (rj + 1) ()
-          else begin
-            (* Output chunks per matching group pair, re-chunked at
-               [size] so large groups stay nursery-sized. *)
-            let outs = ref [] in
-            let push x =
-              Vec.push out x;
-              if out.Vec.len >= size then outs := Vec.flush out :: !outs
-            in
-            for a = i to li do
-              for b = j to rj do
-                let _, lt, ln = ls.(a) and _, rt, rn = rs.(b) in
-                let combined = Tuple.concat lt rt in
-                if Pred.eval combined residual then push (combined, ln * rn)
-              done
-            done;
-            if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-            match List.rev !outs with
-            | [] -> merge (li + 1) (rj + 1) ()
-            | cs -> Seq.append (List.to_seq cs) (merge (li + 1) (rj + 1)) ()
-          end
-      in
-      merge 0 0
+      expand_chunks size
+        (probe table ~left_keys ~residual)
+        (exec ~hooks ~size db left)
   | Physical.Nested_loop (p, l, r) ->
       let right_rows = concat_chunks (exec ~hooks ~size db r) in
       hooks.observe plan "inner" (Array.length right_rows);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            Array.iter
-              (fun (rtuple, rn) ->
-                let combined = Tuple.concat ltuple rtuple in
-                if Pred.eval combined p then push (combined, ln * rn))
-              right_rows)
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db l)
+      expand_chunks size
+        (fun emit (ltuple, ln) ->
+          Array.iter
+            (fun (rtuple, rn) ->
+              let combined = Tuple.concat ltuple rtuple in
+              if Pred.eval combined p then emit (combined, ln * rn))
+            right_rows)
+        (exec ~hooks ~size db l)
   | Physical.Cross_product (l, r) ->
       let right_rows = concat_chunks (exec ~hooks ~size db r) in
       hooks.observe plan "inner" (Array.length right_rows);
-      let out = Vec.create size in
-      let expand c =
-        let outs = ref [] in
-        let push x =
-          Vec.push out x;
-          if out.Vec.len >= size then outs := Vec.flush out :: !outs
-        in
-        Array.iter
-          (fun (ltuple, ln) ->
-            Array.iter
-              (fun (rtuple, rn) ->
-                push (Tuple.concat ltuple rtuple, ln * rn))
-              right_rows)
-          c;
-        if out.Vec.len > 0 then outs := Vec.flush out :: !outs;
-        List.to_seq (List.rev !outs)
-      in
-      Seq.concat_map expand (exec ~hooks ~size db l)
+      expand_chunks size
+        (fun emit (ltuple, ln) ->
+          Array.iter
+            (fun (rtuple, rn) -> emit (Tuple.concat ltuple rtuple, ln * rn))
+            right_rows)
+        (exec ~hooks ~size db l)
   | Physical.Union_all (l, r) ->
       Seq.append (exec ~hooks ~size db l) (exec ~hooks ~size db r)
   | Physical.Hash_diff (l, r) ->
@@ -475,159 +530,16 @@ and exec_node ~hooks ~size db plan : chunk Seq.t =
       hooks.observe plan "distinct" (TH.length seen);
       chunks_of_seq size (Seq.map (fun (tuple, ()) -> (tuple, 1)) (TH.to_seq seen))
   | Physical.Hash_aggregate (attrs, aggs, t) ->
-      exec_aggregate ~hooks ~size db plan attrs aggs t
+      let input_schema = Typecheck.infer_db db (Physical.to_logical t) in
+      let groups =
+        accumulate_groups input_schema attrs aggs (fun add ->
+            Seq.iter (Array.iter add) (exec ~hooks ~size db t))
+      in
+      let rows = group_rows input_schema attrs aggs groups in
+      hooks.observe plan "groups" (TH.length groups);
+      chunks_of_seq size rows
   | Physical.Exchange { parts; child } ->
       exec_exchange ~hooks ~size db plan parts child
-
-(* --- parallel execution of an Exchange node ---------------------------- *)
-
-(* Run one thunk per fragment on the global pool (each fragment is one
-   morsel), record lanes and intervals, emit the worker spans, and
-   return the outputs in fragment order. *)
-and on_pool ~name tasks =
-  let pool = Pool.global () in
-  let outs =
-    Pool.map_array ~chunk:1 pool
-      (fun task ->
-        let t0 = Trace.now_us () in
-        let rows = task () in
-        {
-          frag_rows = rows;
-          frag_lane = (Stdlib.Domain.self () :> int);
-          frag_start = t0;
-          frag_dur = Trace.now_us () -. t0;
-        })
-      tasks
-  in
-  if Trace.enabled () then
-    Array.iteri
-      (fun i o ->
-        Trace.complete name ~tid:o.frag_lane ~start_us:o.frag_start
-          ~dur_us:o.frag_dur
-          ~attrs:
-            [
-              ("fragment", Trace.Int i);
-              ("rows", Trace.Int (Array.length o.frag_rows));
-            ])
-      outs;
-  outs
-
-(* Contiguous slices are a valid fragmentation for per-tuple operators:
-   σ and π distribute over any ⊎-decomposition (Theorem 3.2). *)
-and slices parts arr =
-  let n = Array.length arr in
-  Array.init parts (fun i ->
-      let lo = i * n / parts and hi = (i + 1) * n / parts in
-      Array.sub arr lo (hi - lo))
-
-(* Hash-partition materialised rows into [parts] buckets on the
-   projected key tuple; co-partitioning two inputs on equal-length key
-   lists aligns matching tuples in same-numbered buckets. *)
-and bucket_rows parts keys rows =
-  let buckets = Array.make parts [] in
-  Array.iter
-    (fun (t, n) ->
-      let slot = Tuple.hash (Tuple.project keys t) land max_int mod parts in
-      buckets.(slot) <- (t, n) :: buckets.(slot))
-    rows;
-  buckets
-
-(* The maximal σ/π pipeline above a source, as one per-tuple function. *)
-and pipeline_stages plan =
-  match plan with
-  | Physical.Filter (p, t) ->
-      let src, f = pipeline_stages t in
-      ( src,
-        fun tn ->
-          match f tn with
-          | Some (tup, _) as r when Pred.eval tup p -> r
-          | Some _ | None -> None )
-  | Physical.Project_op (exprs, t) ->
-      let src, f = pipeline_stages t in
-      ( src,
-        fun tn ->
-          Option.map
-            (fun (tup, n) ->
-              (Tuple.of_list (List.map (Scalar.eval tup) exprs), n))
-            (f tn) )
-  | src -> (src, Option.some)
-
-and join_fragment ~left_keys ~right_keys ~residual lefts rights =
-  let table = TH.create 64 in
-  List.iter
-    (fun (t, n) -> TH.add table (Tuple.project right_keys t) (t, n))
-    rights;
-  let out = ref [] in
-  List.iter
-    (fun (lt, ln) ->
-      List.iter
-        (fun (rt, rn) ->
-          let combined = Tuple.concat lt rt in
-          if Pred.eval combined residual then
-            out := (combined, ln * rn) :: !out)
-        (TH.find_all table (Tuple.project left_keys lt)))
-    lefts;
-  Array.of_list !out
-
-and aggregate_fragment input_schema attrs aggs rows =
-  let fresh_states () =
-    Array.of_list
-      (List.map
-         (fun (kind, p) -> initial_state kind (Schema.domain input_schema p))
-         aggs)
-  in
-  let positions = Array.of_list (List.map snd aggs) in
-  let groups = TH.create 64 in
-  List.iter
-    (fun (tuple, n) ->
-      let key = Tuple.project attrs tuple in
-      let states =
-        match TH.find_opt groups key with
-        | Some states -> states
-        | None ->
-            let states = fresh_states () in
-            TH.add groups key states;
-            states
-      in
-      Array.iteri
-        (fun i state ->
-          states.(i) <- update_state state (Tuple.attr tuple positions.(i)) n)
-        states)
-    rows;
-  let out = Array.make (TH.length groups) (Tuple.unit, 0) in
-  let i = ref 0 in
-  TH.iter
-    (fun key states ->
-      let values = Array.to_list (Array.map finalize_state states) in
-      out.(!i) <- (Tuple.concat key (Tuple.of_list values), 1);
-      incr i)
-    groups;
-  out
-
-(* Combine two partial accumulator states of the same aggregate: counts
-   and integer sums add, extrema keep the extremum, buffered columns
-   concatenate (their final computation canonicalises the order, so the
-   combined result is bit-identical to the sequential one). *)
-and combine_state a b =
-  match (a, b) with
-  | S_cnt x, S_cnt y -> S_cnt (x + y)
-  | S_sum_int x, S_sum_int y -> S_sum_int (x + y)
-  | S_min x, S_min y ->
-      S_min
-        (match (x, y) with
-        | None, w | w, None -> w
-        | Some v, Some w ->
-            Some (if Value.compare_same_domain v w < 0 then v else w))
-  | S_max x, S_max y ->
-      S_max
-        (match (x, y) with
-        | None, w | w, None -> w
-        | Some v, Some w ->
-            Some (if Value.compare_same_domain v w > 0 then v else w))
-  | S_column (kind, domain, c1), S_column (_, _, c2) ->
-      S_column (kind, domain, List.rev_append c1 c2)
-  | (S_cnt _ | S_sum_int _ | S_min _ | S_max _ | S_column _), _ ->
-      invalid_arg "Exec: mismatched partial aggregate states"
 
 and exec_exchange ~hooks ~size db plan parts child =
   (* The fused child never runs as a standalone stream, so route the
@@ -636,12 +548,8 @@ and exec_exchange ~hooks ~size db plan parts child =
      (operators deeper inside a fused σ/π chain still read zero).  Each
      fragment's whole output is one chunk. *)
   let emit outs =
-    hooks.observe plan "parts" (Array.length outs);
     hooks.around child (fun () ->
-        Seq.filter_map
-          (fun o ->
-            if Array.length o.frag_rows = 0 then None else Some o.frag_rows)
-          (Array.to_seq outs))
+        Seq.filter (fun c -> Array.length c > 0) (Array.to_seq outs))
   in
   (* Profitability feedback for the adaptive planner.  Inputs are
      materialised before [t0], so [wall] covers exactly the Exchange's
@@ -651,11 +559,9 @@ and exec_exchange ~hooks ~size db plan parts child =
      Exchange should not have been inserted at this input size. *)
   let note ~rows t0 busy_ms =
     let wall_ms = (Trace.now_us () -. t0) /. 1000.0 in
-    Feedback.note ~rows ~parts ~gain_ms:(busy_ms -. wall_ms)
+    Planner.Feedback.note ~rows ~gain_ms:(busy_ms -. wall_ms)
   in
-  let busy_of outs =
-    Array.fold_left (fun acc o -> acc +. o.frag_dur) 0.0 outs /. 1000.0
-  in
+  let observe = hooks.observe plan in
   match child with
   | Physical.Hash_join { left_keys; right_keys; residual; left; right; _ } ->
       let lrows = concat_chunks (exec ~hooks ~size db left) in
@@ -663,139 +569,83 @@ and exec_exchange ~hooks ~size db plan parts child =
       let t0 = Trace.now_us () in
       let lb = bucket_rows parts left_keys lrows in
       let rb = bucket_rows parts right_keys rrows in
-      let outs =
-        on_pool ~name:"join-worker"
-          (Array.init parts (fun i () ->
-               join_fragment ~left_keys ~right_keys ~residual lb.(i) rb.(i)))
+      let outs, busy =
+        on_pool ~observe ~name:"join-worker"
+          ~rows:(fun (lefts, rights) -> List.length lefts + List.length rights)
+          (fun (lefts, rights) ->
+            let table = build_table right_keys (fun add -> List.iter add rights) in
+            let out = ref [] in
+            List.iter
+              (probe table ~left_keys ~residual (fun row -> out := row :: !out))
+              lefts;
+            Array.of_list !out)
+          (Array.map2 (fun l r -> (l, r)) lb rb)
       in
-      note ~rows:(Array.length lrows + Array.length rrows) t0 (busy_of outs);
+      note ~rows:(Array.length lrows + Array.length rrows) t0 busy;
       emit outs
   | Physical.Hash_aggregate ((_ :: _ as attrs), aggs, src) ->
       let input_schema = Typecheck.infer_db db (Physical.to_logical src) in
       let rows = concat_chunks (exec ~hooks ~size db src) in
       let t0 = Trace.now_us () in
-      let buckets = bucket_rows parts attrs rows in
-      let outs =
-        on_pool ~name:"agg-worker"
-          (Array.map
-             (fun bucket () -> aggregate_fragment input_schema attrs aggs bucket)
-             buckets)
+      let outs, busy =
+        on_pool ~observe ~name:"agg-worker" ~rows:List.length
+          (fun bucket ->
+            accumulate_groups input_schema attrs aggs (fun add ->
+                List.iter add bucket)
+            |> group_rows input_schema attrs aggs
+            |> Array.of_seq)
+          (bucket_rows parts attrs rows)
       in
-      note ~rows:(Array.length rows) t0 (busy_of outs);
+      note ~rows:(Array.length rows) t0 busy;
       emit outs
   | Physical.Hash_aggregate ([], aggs, src) ->
       (* Global aggregate: per-fragment partial states, combined on the
          coordinating domain, finalized into the single output tuple
          (one tuple even over the empty input, Definition 3.4). *)
       let input_schema = Typecheck.infer_db db (Physical.to_logical src) in
-      let fresh_states () =
-        Array.of_list
-          (List.map
-             (fun (kind, p) ->
-               initial_state kind (Schema.domain input_schema p))
-             aggs)
-      in
-      let positions = Array.of_list (List.map snd aggs) in
       let rows = concat_chunks (exec ~hooks ~size db src) in
       let t0 = Trace.now_us () in
-      let partial slice =
-        let states = fresh_states () in
-        Array.iter
-          (fun (tuple, n) ->
-            Array.iteri
-              (fun i state ->
-                states.(i) <-
-                  update_state state (Tuple.attr tuple positions.(i)) n)
-              states)
-          slice;
-        states
-      in
-      let pool = Pool.global () in
-      let timed =
-        Pool.map_array ~chunk:1 pool
+      let partials, busy =
+        on_pool ~observe ~name:"agg-worker" ~rows:Array.length
           (fun slice ->
-            let f0 = Trace.now_us () in
-            let states = partial slice in
-            (states, Trace.now_us () -. f0))
+            accumulate_groups input_schema [] aggs (fun add ->
+                Array.iter add slice))
           (slices parts rows)
       in
-      hooks.observe plan "parts" parts;
-      let busy = Array.fold_left (fun a (_, d) -> a +. d) 0.0 timed /. 1000.0 in
       note ~rows:(Array.length rows) t0 busy;
-      let states =
-        Array.fold_left
-          (fun acc (s, _) ->
-            match acc with
-            | None -> Some s
-            | Some acc -> Some (Array.map2 combine_state acc s))
-          None timed
-        |> Option.value ~default:(fresh_states ())
-      in
-      let values = Array.to_list (Array.map finalize_state states) in
-      hooks.around child (fun () -> Seq.return [| (Tuple.of_list values, 1) |])
+      let groups = TH.create 1 in
+      Array.iter
+        (TH.iter (fun key states ->
+             TH.replace groups key
+               (match TH.find_opt groups key with
+               | Some acc -> Array.map2 combine_state acc states
+               | None -> states)))
+        partials;
+      hooks.around child (fun () ->
+          Seq.return (Array.of_seq (group_rows input_schema [] aggs groups)))
   | Physical.Filter _ | Physical.Project_op _ ->
       let src, f = pipeline_stages child in
       let rows = concat_chunks (exec ~hooks ~size db src) in
       let t0 = Trace.now_us () in
-      let outs =
-        on_pool ~name:"scan-worker"
-          (Array.map
-             (fun slice () ->
-               let out = ref [] in
-               Array.iter
-                 (fun tn ->
-                   match f tn with
-                   | Some r -> out := r :: !out
-                   | None -> ())
-                 slice;
-               Array.of_list (List.rev !out))
-             (slices parts rows))
+      let outs, busy =
+        on_pool ~observe ~name:"scan-worker" ~rows:Array.length
+          (fun slice ->
+            let out = ref [] in
+            Array.iter
+              (fun tn ->
+                match f tn with
+                | Some r -> out := r :: !out
+                | None -> ())
+              slice;
+            Array.of_list (List.rev !out))
+          (slices parts rows)
       in
-      note ~rows:(Array.length rows) t0 (busy_of outs);
+      note ~rows:(Array.length rows) t0 busy;
       emit outs
   | child ->
       (* The planner only wraps the shapes above; anything else is
          executed sequentially — Exchange is then a no-op. *)
       exec ~hooks ~size db child
-
-and exec_aggregate ~hooks ~size db plan attrs aggs t =
-  let input_schema =
-    Typecheck.infer_db db (Physical.to_logical t)
-  in
-  let fresh_states () =
-    Array.of_list
-      (List.map
-         (fun (kind, p) -> initial_state kind (Schema.domain input_schema p))
-         aggs)
-  in
-  let positions = Array.of_list (List.map snd aggs) in
-  let groups = TH.create 64 in
-  Seq.iter
-    (Array.iter (fun (tuple, n) ->
-         let key = Tuple.project attrs tuple in
-         let states =
-           match TH.find_opt groups key with
-           | Some states -> states
-           | None ->
-               let states = fresh_states () in
-               TH.add groups key states;
-               states
-         in
-         Array.iteri
-           (fun i state ->
-             states.(i) <- update_state state (Tuple.attr tuple positions.(i)) n)
-           states))
-    (exec ~hooks ~size db t);
-  (* Definition 3.4: with an empty grouping list the result is one tuple
-     even over the empty input. *)
-  if attrs = [] && TH.length groups = 0 then
-    TH.add groups Tuple.unit (fresh_states ());
-  hooks.observe plan "groups" (TH.length groups);
-  let finalize (key, states) =
-    let values = Array.to_list (Array.map finalize_state states) in
-    (Tuple.concat key (Tuple.of_list values), 1)
-  in
-  chunks_of_seq size (Seq.map finalize (TH.to_seq groups))
 
 let materialize db plan chunks =
   let schema = Typecheck.infer_db db (Physical.to_logical plan) in

@@ -71,7 +71,8 @@ val cells_moved : Database.t -> Physical.t -> int
     Every physical operator records what it actually did: counted-tuple
     elements and tuples (with multiplicity) emitted, cells moved, wall
     time, and operator-specific gauges (hash-build sizes, group counts,
-    materialised inner cardinalities).  Because the engine runs on the
+    materialised inner cardinalities, an Exchange's fragment count and
+    largest fragment input as [parts] and [max-part]).  Because the engine runs on the
     paper's counted representation [(x, E(x))], the cardinality
     accounting is exact, not sampled.  Instrumentation must not perturb
     bag semantics: [run_instrumented db p] returns the same relation as

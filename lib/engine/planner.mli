@@ -1,25 +1,26 @@
 (** Logical-to-physical translation.
 
     The planner performs algorithm selection only — logical rewrites
-    (pushdowns, join ordering) belong to {!Mxra_optimizer}.  Its one
-    non-trivial decision is join implementation: a join condition is
-    split into conjuncts, the equi-join conjuncts of shape [%i = %j]
-    spanning the operand boundary become hash-join keys, the remainder
-    becomes the residual; with no usable key the join falls back to
-    nested loops.  A selection directly above a product is likewise
-    fused into a join before translation (Theorem 3.1 read right to
-    left), so even unoptimized [σ(E1 × E2)] queries execute hashed when
-    possible. *)
+    (pushdowns, join ordering) belong to {!Mxra_optimizer}.  Each
+    logical operator has one physical algorithm, plus an index path
+    where the cost model says an index wins.  The one non-trivial
+    decision is the join: a join condition is split into conjuncts, the
+    equi-join conjuncts of shape [%i = %j] spanning the operand boundary
+    become hash-join keys, the remainder becomes the residual; with no
+    usable key the join falls back to nested loops.  A selection
+    directly above a product is likewise fused into a join before
+    translation (Theorem 3.1 read right to left), so even unoptimized
+    [σ(E1 × E2)] queries execute hashed when possible.
+
+    With [jobs > 1], {!parallelize} then marks the fragmentable
+    operators with {!Physical.Exchange}; the executor reports what each
+    Exchange measured back to {!Feedback}, which the next
+    [parallelize] reads. *)
 
 open Mxra_relational
 open Mxra_core
 
-type join_algorithm =
-  | Hash  (** Build a hash table on the right operand (the default). *)
-  | Merge  (** Sort both operands on the keys and merge. *)
-
 val plan :
-  ?join_algorithm:join_algorithm ->
   ?jobs:int ->
   ?cores:int ->
   ?parallel_threshold:int ->
@@ -42,6 +43,31 @@ val available_cores : unit -> int
     can pin plan shapes on any host), otherwise
     [Stdlib.Domain.recommended_domain_count ()]. *)
 
+(** Measured Exchange profitability, fed back into {!parallelize}.
+
+    The executor reports every Exchange it runs: input rows and the
+    measured gain [busy − wall] (summed fragment time minus the
+    partition→pool→merge wall time around them).  The observations
+    collapse into one number — the smallest input size at which an
+    Exchange has actually paid on this host — which {!parallelize}
+    folds into its insertion threshold on subsequent plans.
+    Process-global and monotone in the obvious directions: losses raise
+    the bar, wins lower it. *)
+module Feedback : sig
+  val note : rows:int -> gain_ms:float -> unit
+  (** Record one Exchange execution over [rows] input tuples.
+      [gain_ms <= 0] marks it unprofitable at that size. *)
+
+  val min_profitable_rows : unit -> int option
+  (** Current bar: [None] until the first observation. *)
+
+  val observations : unit -> int
+  (** How many Exchange executions have been recorded. *)
+
+  val reset : unit -> unit
+  (** Forget all observations (tests and benchmarks). *)
+end
+
 val parallelize :
   stats:Stats.env ->
   schemas:Typecheck.env ->
@@ -60,12 +86,11 @@ val parallelize :
     defaulting to {!available_cores} — on one core the plan is returned
     unchanged, parallelizing there is a planner bug — and, when no
     explicit [threshold] is given, the floor folds in the measured
-    break-even from {!Mxra_ext.Parallel.Feedback}.  Passing [threshold]
+    break-even from {!Feedback}.  Passing [threshold]
     (tests pass 0 to force Exchange everywhere) disables the feedback
     term. *)
 
 val plan_with :
-  ?join_algorithm:join_algorithm ->
   ?stats:Stats.env ->
   ?indexes:(string -> Database.index_def list) ->
   Typecheck.env ->

@@ -193,6 +193,12 @@ let test_exec_each_operator () =
       ("unique", Expr.unique (Expr.rel "l"));
       ( "theta join",
         Expr.join (Pred.lt (Scalar.attr 1) (Scalar.attr 3)) (Expr.rel "l") (Expr.rel "r") );
+      ( "equi join with residual",
+        Expr.join
+          (Pred.And
+             (Pred.eq (Scalar.attr 1) (Scalar.attr 3),
+              Pred.lt (Scalar.attr 2) (Scalar.attr 4)))
+          (Expr.rel "l") (Expr.rel "r") );
       ( "groupby",
         Expr.group_by [ 1 ] [ (Aggregate.Sum, 2); (Aggregate.Cnt, 1) ] (Expr.rel "l") );
       ("aggregate all", Expr.aggregate Aggregate.Max 2 (Expr.rel "l"));
@@ -225,43 +231,6 @@ let test_tuples_moved () =
   Alcotest.(check bool) "hash join moves fewer tuples than filtered product"
     true
     (Exec.tuples_moved db join_plan < Exec.tuples_moved db product_plan)
-
-let test_merge_join () =
-  (* The merge join computes the same bag as the hash join and the
-     reference evaluator, including residual conditions and
-     multiplicities. *)
-  let e =
-    Expr.join
-      (Pred.And
-         (Pred.eq (Scalar.attr 1) (Scalar.attr 3),
-          Pred.lt (Scalar.attr 2) (Scalar.attr 4)))
-      (Expr.rel "l") (Expr.rel "r")
-  in
-  let merge_plan = Planner.plan ~join_algorithm:Planner.Merge db e in
-  (match merge_plan with
-  | Physical.Merge_join _ -> ()
-  | other -> Alcotest.fail ("expected merge join, got " ^ Physical.to_string other));
-  check_equal_relations "merge = reference" (Eval.eval db e)
-    (Exec.run db merge_plan);
-  check_equal_relations "merge = hash"
-    (Exec.run db (Planner.plan db e))
-    (Exec.run db merge_plan)
-
-let merge_join_matches_reference =
-  let test seed =
-    let rng = W.Rng.make seed in
-    let left, right = W.Synth.join_pair ~rng ~left:30 ~right:20 ~key_range:5 in
-    let db = Database.of_relations [ ("a", left); ("b", right) ] in
-    let e =
-      Expr.join (Pred.eq (Scalar.attr 1) (Scalar.attr 3)) (Expr.rel "a")
-        (Expr.rel "b")
-    in
-    Relation.equal (Eval.eval db e)
-      (Exec.run db (Planner.plan ~join_algorithm:Planner.Merge db e))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"merge join = reference" ~count:150
-       QCheck.small_nat test)
 
 (* --- metrics and instrumented execution ----------------------------------- *)
 
@@ -456,12 +425,10 @@ let suite =
       Alcotest.test_case "every operator matches reference" `Quick test_exec_each_operator;
       Alcotest.test_case "empty aggregates" `Quick test_exec_empty_aggregate;
       Alcotest.test_case "tuples_moved instrumentation" `Quick test_tuples_moved;
-      Alcotest.test_case "merge join" `Quick test_merge_join;
       Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
       Alcotest.test_case "q-error" `Quick test_q_error;
       Alcotest.test_case "explain analyze on a 2-join query" `Quick
         test_explain_analyze_two_join;
-      merge_join_matches_reference;
       instrumented_matches_reference;
       counters_match_moved;
       counters_chunk_size_independent;

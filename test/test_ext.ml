@@ -1,11 +1,12 @@
 (* Extension tests: transitive closure (naive vs semi-naive agreement,
-   cycles, reachability) and the simulated parallel operators'
-   partition/merge laws. *)
+   cycles, reachability) and the partitioning laws of the engine's
+   Exchange, whose fragments run on the domain pool ([Pool]). *)
 
 open Mxra_relational
 open Mxra_core
 open Mxra_ext
 module W = Mxra_workload
+module Engine = Mxra_engine
 
 let edge_schema = Schema.of_list [ ("src", Domain.DInt); ("dst", Domain.DInt) ]
 let edge a b = Tuple.of_list [ Value.Int a; Value.Int b ]
@@ -68,74 +69,141 @@ let test_closure_expr () =
   let r = Closure.closure_expr (Expr.rel "g") db in
   Alcotest.(check int) "closure of expression" 3 (Relation.cardinal r)
 
-(* --- parallel operators ----------------------------------------------------- *)
+(* --- Exchange partitioning ------------------------------------------------ *)
 
 let rng = W.Rng.make 99
+let kv_schema = Schema.of_list [ ("k", Domain.DInt); ("v", Domain.DInt) ]
+
+(* Plan [e] for [parts] fragments — threshold 0 forces Exchange above
+   the operator — and run it with EXPLAIN ANALYZE's gauges. *)
+let analyze ~parts db e =
+  Engine.Exec.run_instrumented db
+    (Engine.Planner.plan ~jobs:parts ~cores:parts ~parallel_threshold:0 db e)
+
+let detail a key =
+  List.assoc key a.Engine.Exec.root.Engine.Exec.actual.details
 
 let test_partition_merge_identity () =
+  (* Hand-built Exchanges, so one fragment is allowed too: a σ that
+     keeps everything runs over contiguous slices, a Γ on every
+     attribute over hash buckets.  Either way each counted element lands
+     in exactly one fragment and the merge gives the input back. *)
   for parts = 1 to 5 do
     let r = W.Synth.two_column_int ~rng ~size:60 ~distinct:10 in
-    let by_key = Parallel.partition ~parts ~keys:[ 1 ] r in
+    let db = Database.of_relations [ ("r", r) ] in
+    let exchange child = Engine.Physical.Exchange { parts; child } in
+    let scan = Engine.Physical.Seq_scan "r" in
     Alcotest.(check bool)
-      (Printf.sprintf "hash partition/merge identity (p=%d)" parts)
+      (Printf.sprintf "slice partition/merge identity (p=%d)" parts)
       true
-      (Relation.equal r (Parallel.merge by_key));
-    let rr = Parallel.partition_round_robin ~parts r in
-    Alcotest.(check bool) "round-robin partition/merge identity" true
-      (Relation.equal r (Parallel.merge rr))
+      (Relation.equal r
+         (Engine.Exec.run db (exchange (Engine.Physical.Filter (Pred.True, scan)))));
+    let aggs = [ (Aggregate.Cnt, 1) ] in
+    Alcotest.(check bool) "hash partition/merge identity" true
+      (Relation.equal
+         (Eval.group_by [ 1; 2 ] aggs r)
+         (Engine.Exec.run db
+            (exchange (Engine.Physical.Hash_aggregate ([ 1; 2 ], aggs, scan)))))
   done
 
 let test_par_select () =
   let r = W.Synth.two_column_int ~rng ~size:80 ~distinct:9 in
-  let p = Pred.lt (Scalar.attr 1) (Scalar.int 4) in
-  let report = Parallel.par_select ~parts:4 p r in
+  let db = Database.of_relations [ ("r", r) ] in
+  let e = Expr.select (Pred.lt (Scalar.attr 1) (Scalar.int 4)) (Expr.rel "r") in
+  let a = analyze ~parts:4 db e in
   Alcotest.(check bool) "σ distributes over partitioning" true
-    (Relation.equal (Eval.select p r) report.Parallel.result);
-  Alcotest.(check int) "work accounted" (Relation.cardinal r)
-    (Array.fold_left ( + ) 0 report.Parallel.fragment_work);
-  Alcotest.(check bool) "speedup within bounds" true
-    (report.Parallel.speedup >= 1.0 && report.Parallel.speedup <= 4.0)
+    (Relation.equal (Eval.eval db e) a.Engine.Exec.result);
+  (* Slices are contiguous and even: the largest holds ⌈n/4⌉. *)
+  Alcotest.(check int) "work accounted"
+    ((Relation.support_size r + 3) / 4)
+    (detail a "max-part")
 
 let test_par_project () =
-  let r = W.Synth.two_column_int ~rng ~size:50 ~distinct:7 in
-  let exprs = [ Scalar.add (Scalar.attr 1) (Scalar.attr 2) ] in
-  let report = Parallel.par_project ~parts:3 exprs r in
+  (* Six counted tuples of multiplicity 1000 whose images collide across
+     fragments: fragments move counted elements, not expanded rows, and
+     the merge adds the multiplicities of equal images. *)
+  let r =
+    Relation.of_counted_list kv_schema
+      (List.init 6 (fun i ->
+           (Tuple.of_list [ Value.Int i; Value.Int (5 - i) ], 1000)))
+  in
+  let db = Database.of_relations [ ("r", r) ] in
+  let e =
+    Expr.project [ Scalar.add (Scalar.attr 1) (Scalar.attr 2) ] (Expr.rel "r")
+  in
+  let a = analyze ~parts:3 db e in
   Alcotest.(check bool) "π distributes over partitioning" true
-    (Relation.equal (Eval.project exprs r) report.Parallel.result)
+    (Relation.equal (Eval.eval db e) a.Engine.Exec.result);
+  Alcotest.(check int) "one image, every row" 6000
+    (Relation.multiplicity (Tuple.of_list [ Value.Int 5 ]) a.Engine.Exec.result);
+  Alcotest.(check int) "two counted elements per fragment" 2
+    (detail a "max-part")
 
 let test_par_join () =
+  (* The residual conjunct stays inside each co-partitioned fragment. *)
   let left, right = W.Synth.join_pair ~rng ~left:60 ~right:40 ~key_range:8 in
-  let report =
-    Parallel.par_join ~parts:4 ~left_keys:[ 1 ] ~right_keys:[ 1 ] left right
+  let db = Database.of_relations [ ("l", left); ("r", right) ] in
+  let e =
+    Expr.join
+      (Pred.And
+         (Pred.eq (Scalar.attr 1) (Scalar.attr 3),
+          Pred.lt (Scalar.attr 2) (Scalar.attr 4)))
+      (Expr.rel "l") (Expr.rel "r")
   in
-  let cond = Pred.eq (Scalar.attr 1) (Scalar.attr 3) in
+  let a = analyze ~parts:4 db e in
+  Alcotest.(check bool) "Exchange over a residual hash join" true
+    (match a.Engine.Exec.root.Engine.Exec.node with
+    | Engine.Physical.Exchange
+        { child = Engine.Physical.Hash_join { residual; _ }; _ } ->
+        residual <> Pred.True
+    | _ -> false);
   Alcotest.(check bool) "co-partitioned join = sequential join" true
-    (Relation.equal (Eval.join cond left right) report.Parallel.result)
+    (Relation.equal (Eval.eval db e) a.Engine.Exec.result)
 
 let test_par_group_by () =
   let r = W.Synth.two_column_int ~rng ~size:70 ~distinct:6 in
-  let attrs = [ 1 ] and aggs = [ (Aggregate.Sum, 2); (Aggregate.Cnt, 1) ] in
-  let report = Parallel.par_group_by ~parts:4 ~attrs ~aggs r in
+  let db = Database.of_relations [ ("r", r) ] in
+  let aggs = [ (Aggregate.Sum, 2); (Aggregate.Cnt, 1) ] in
+  let grouped = Expr.group_by [ 1 ] aggs (Expr.rel "r") in
+  let a = analyze ~parts:4 db grouped in
   Alcotest.(check bool) "Γ distributes over key partitioning" true
-    (Relation.equal (Eval.group_by attrs aggs r) report.Parallel.result);
+    (Relation.equal (Eval.eval db grouped) a.Engine.Exec.result);
+  Alcotest.(check int) "one output tuple per key" 6
+    (Relation.cardinal a.Engine.Exec.result);
   (* Empty attrs is Definition 3.4's global aggregate, computed as
      per-fragment partials combined associatively. *)
-  let global = Parallel.par_group_by ~parts:2 ~attrs:[] ~aggs r in
+  let global = Expr.group_by [] aggs (Expr.rel "r") in
   Alcotest.(check bool) "global aggregate = partial-then-combine" true
-    (Relation.equal (Eval.group_by [] aggs r) global.Parallel.result)
+    (Relation.equal (Eval.eval db global)
+       (analyze ~parts:2 db global).Engine.Exec.result)
 
 let test_skew_hurts_speedup () =
-  (* A single hot key concentrates all work in one fragment: speedup
-     collapses toward 1.  Balanced keys approach p. *)
-  let skewed =
-    Relation.of_counted_list (Schema.of_list [ ("k", Domain.DInt); ("v", Domain.DInt) ])
-      (List.init 40 (fun i -> (Tuple.of_list [ Value.Int 0; Value.Int i ], 1)))
+  (* [total / max-part] bounds what p fragments can gain.  A single hot
+     join key co-partitions every row of both sides into one fragment:
+     the bound collapses to 1.  Balanced keys approach p. *)
+  let bound left right =
+    let db = Database.of_relations [ ("l", left); ("r", right) ] in
+    let e =
+      Expr.join (Pred.eq (Scalar.attr 1) (Scalar.attr 3)) (Expr.rel "l")
+        (Expr.rel "r")
+    in
+    let a = analyze ~parts:4 db e in
+    Alcotest.(check bool) "join under Exchange = Eval" true
+      (Relation.equal (Eval.eval db e) a.Engine.Exec.result);
+    float_of_int (Relation.support_size left + Relation.support_size right)
+    /. float_of_int (detail a "max-part")
   in
-  let report = Parallel.par_group_by ~parts:4 ~attrs:[ 1 ] ~aggs:[ (Aggregate.Cnt, 1) ] skewed in
-  Alcotest.(check (float 1e-9)) "hot key kills parallelism" 1.0 report.Parallel.speedup;
-  let balanced = W.Synth.two_column_int ~rng ~size:4000 ~distinct:64 in
-  let report = Parallel.par_group_by ~parts:4 ~attrs:[ 1 ] ~aggs:[ (Aggregate.Cnt, 1) ] balanced in
-  Alcotest.(check bool) "balanced keys parallelise" true (report.Parallel.speedup > 2.0)
+  let hot n =
+    Relation.of_counted_list kv_schema
+      (List.init n (fun i -> (Tuple.of_list [ Value.Int 0; Value.Int i ], 1)))
+  in
+  Alcotest.(check (float 1e-9)) "hot key kills parallelism" 1.0
+    (bound (hot 40) (hot 5));
+  let left, right =
+    W.Synth.join_pair ~rng ~left:2000 ~right:500 ~key_range:64
+  in
+  Alcotest.(check bool) "balanced keys parallelise" true
+    (bound left right > 2.0)
 
 let suite =
   ( "ext",

@@ -1,7 +1,6 @@
 (* Tests for the second wave of extensions: integrity constraints (the
-   paper's pointer to [11]), semijoin/antijoin (PRISMA's distributed
-   operators), ordered output/cursors (the conclusions' inexpressibility
-   remark), and CSV interchange. *)
+   paper's pointer to [11]), ordered output/cursors (the conclusions'
+   inexpressibility remark), and CSV interchange. *)
 
 open Mxra_relational
 open Mxra_core
@@ -143,51 +142,7 @@ let test_constraint_guarded_transaction () =
         (Constraints.satisfied state all_constraints)
   | Transaction.Aborted { reason; _ } -> Alcotest.fail ("deferred check failed: " ^ reason)
 
-(* --- semijoin / antijoin ----------------------------------------------------- *)
-
-let join_cond = Pred.eq (Scalar.attr 2) (Scalar.attr 4)
 let emp_r = Database.find "emp" company
-
-let test_semijoin_keeps_multiplicities () =
-  (* Duplicate an employee; the semijoin must keep the multiplicity 2,
-     while π(E1 ⋈ E2) would inflate by match count. *)
-  let emps = Relation.of_counted_list s_emp [ (emp 1 "toys" 100, 2) ] in
-  let depts =
-    Relation.of_list s_dept [ dept "toys" "ams"; dept "toys" "utr" ]
-  in
-  let semi = Semijoin.semijoin join_cond emps depts in
-  Alcotest.(check int) "multiplicity preserved" 2
-    (Relation.multiplicity (emp 1 "toys" 100) semi);
-  let projected =
-    Eval.project
-      [ Scalar.attr 1; Scalar.attr 2; Scalar.attr 3 ]
-      (Eval.join join_cond emps depts)
-  in
-  Alcotest.(check int) "π∘⋈ inflates (the pitfall)" 4
-    (Relation.multiplicity (emp 1 "toys" 100) projected)
-
-let test_semi_anti_partition () =
-  let depts = Relation.of_list s_dept [ dept "toys" "ams" ] in
-  let semi = Semijoin.semijoin join_cond emp_r depts in
-  let anti = Semijoin.antijoin join_cond emp_r depts in
-  Alcotest.(check bool) "partition" true
-    (Relation.equal emp_r (Eval.union semi anti));
-  Alcotest.(check bool) "semi ⊑ E1" true (Relation.subset semi emp_r);
-  Alcotest.(check bool) "anti = E1 − semi" true
-    (Relation.equal anti (Eval.diff emp_r semi));
-  Alcotest.(check int) "food has no match" 1
-    (Relation.multiplicity (emp 3 "food" 90) anti)
-
-let test_equi_semijoin_agrees () =
-  let rng = W.Rng.make 12 in
-  for _ = 1 to 20 do
-    let left, right = W.Synth.join_pair ~rng ~left:40 ~right:25 ~key_range:6 in
-    let cond = Pred.eq (Scalar.attr 1) (Scalar.attr 3) in
-    Alcotest.(check bool) "hash path = generic path" true
-      (Relation.equal
-         (Semijoin.semijoin cond left right)
-         (Semijoin.equi_semijoin ~left_key:1 ~right_key:1 left right))
-  done
 
 (* --- ordered output ------------------------------------------------------------ *)
 
@@ -303,10 +258,6 @@ let suite =
       Alcotest.test_case "check and cardinality" `Quick test_check_and_cardinality;
       Alcotest.test_case "constraint-guarded transactions" `Quick
         test_constraint_guarded_transaction;
-      Alcotest.test_case "semijoin keeps multiplicities" `Quick
-        test_semijoin_keeps_multiplicities;
-      Alcotest.test_case "semi/anti partition laws" `Quick test_semi_anti_partition;
-      Alcotest.test_case "equi semijoin fast path" `Quick test_equi_semijoin_agrees;
       Alcotest.test_case "sorting" `Quick test_sort;
       Alcotest.test_case "top-k and cursors" `Quick test_top_k_and_cursor;
       Alcotest.test_case "csv round trip" `Quick test_csv_roundtrip;
