@@ -993,7 +993,10 @@ let e15_parallel_speedup () =
   let points =
     List.map
       (fun jobs ->
-        Ext.Pool.set_default_size jobs;
+        (* As [bagdb --jobs]: the planner never cuts more than
+           [min jobs cores] fragments, and a surplus idle domain would
+           still join every minor collection. *)
+        Ext.Pool.set_default_size (min jobs cores);
         let plan = Planner.plan ~jobs db e in
         let exchanges = Physical.exchange_count plan in
         let result = Exec.run db plan in

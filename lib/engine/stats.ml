@@ -13,56 +13,94 @@ type t = {
   columns : column array;
 }
 
-module VSet = Set.Make (Value)
-module VMap = Map.Make (Value)
+(* A per-column table of value counts.  Equality and hash agree with
+   [Value.compare v w = 0]: [Float.equal] and [Hashtbl.hash] both identify
+   [0.0] with [-0.0] and one [nan] with another.  Unlike [Value.hash],
+   hashing allocates no tuple. *)
+module VTbl = Hashtbl.Make (struct
+  type t = Value.t
 
+  let equal v w =
+    match (v, w) with
+    | Value.Int a, Value.Int b -> Int.equal a b
+    | Float a, Float b -> Float.equal a b
+    | Str a, Str b -> String.equal a b
+    | Bool a, Bool b -> Bool.equal a b
+    | (Int _ | Float _ | Str _ | Bool _), _ -> false
+
+  let hash = function
+    | Value.Int n -> Hashtbl.hash n
+    | Float f -> Hashtbl.hash f
+    | Str s -> Hashtbl.hash s
+    | Bool b -> Bool.to_int b
+end)
+
+(* One pass over the bag.  The bag is ordered by its tuples, which compare
+   attribute 1 first, so attribute 1 arrives sorted and its equal values
+   are adjacent: its value counts are runs.  Every other attribute counts
+   its values in a hash table and sorts the distinct ones once by
+   [Value.compare].  A column's first and last sorted values are its
+   extrema, and for numeric columns the running sum of the sorted counts
+   is the cumulative histogram. *)
 let of_relation r =
-  let arity = Schema.arity (Relation.schema r) in
-  let seen = Array.make arity VSet.empty in
-  let counts = Array.make arity VMap.empty in
-  let lo = Array.make arity None and hi = Array.make arity None in
-  let update_extremum slot better v =
-    match slot with
-    | None -> Some v
-    | Some w -> if better (Value.compare v w) then Some v else Some w
-  in
-  let numeric = Array.map Domain.is_numeric (Array.of_list (Schema.domains (Relation.schema r))) in
-  Relation.Bag.iter
-    (fun tuple count ->
-      for i = 0 to arity - 1 do
-        let v = Tuple.attr tuple (i + 1) in
-        seen.(i) <- VSet.add v seen.(i);
-        lo.(i) <- update_extremum lo.(i) (fun c -> c < 0) v;
-        hi.(i) <- update_extremum hi.(i) (fun c -> c > 0) v;
-        if numeric.(i) then
-          counts.(i) <-
-            VMap.update v
-              (function None -> Some count | Some n -> Some (n + count))
-              counts.(i)
+  let schema = Relation.schema r in
+  let arity = Schema.arity schema in
+  let tables = Array.init (max 0 (arity - 1)) (fun _ -> VTbl.create 256) in
+  let runs = ref [] in
+  let cardinality = ref 0 and support = ref 0 in
+  Relation.Bag.fold
+    (fun tuple count () ->
+      cardinality := !cardinality + count;
+      incr support;
+      if arity > 0 then begin
+        let v = Tuple.attr tuple 1 in
+        match !runs with
+        | (w, n) :: _ when Value.compare v w = 0 -> n := !n + count
+        | _ -> runs := (v, ref count) :: !runs
+      end;
+      for i = 2 to arity do
+        let v = Tuple.attr tuple i in
+        match VTbl.find tables.(i - 2) v with
+        | n -> n := !n + count
+        | exception Not_found -> VTbl.add tables.(i - 2) v (ref count)
       done)
-    (Relation.bag r);
-  let cumulative_of i =
-    if not numeric.(i) then [||]
+    (Relation.bag r) ();
+  let sorted i =
+    if i = 0 then Array.of_list (List.rev !runs)
     else begin
-      let running = ref 0 in
-      VMap.bindings counts.(i)
-      |> List.map (fun (v, n) ->
-             running := !running + n;
-             (Value.as_float v, !running))
-      |> Array.of_list
+      let values = Array.of_seq (VTbl.to_seq tables.(i - 1)) in
+      Array.sort (fun (v, _) (w, _) -> Value.compare v w) values;
+      values
     end
   in
+  let column_of i numeric =
+    let values = sorted i in
+    let n = Array.length values in
+    let cumulative =
+      if not numeric then [||]
+      else begin
+        let running = ref 0 in
+        Array.map
+          (fun (v, c) ->
+            running := !running + !c;
+            (Value.as_float v, !running))
+          values
+      end
+    in
+    {
+      distinct = n;
+      min_value = (if n = 0 then None else Some (fst values.(0)));
+      max_value = (if n = 0 then None else Some (fst values.(n - 1)));
+      cumulative;
+    }
+  in
   {
-    cardinality = Relation.cardinal r;
-    support = Relation.support_size r;
+    cardinality = !cardinality;
+    support = !support;
     columns =
-      Array.init arity (fun i ->
-          {
-            distinct = VSet.cardinal seen.(i);
-            min_value = lo.(i);
-            max_value = hi.(i);
-            cumulative = cumulative_of i;
-          });
+      Array.of_list
+        (List.mapi (fun i d -> column_of i (Domain.is_numeric d))
+           (Schema.domains schema));
   }
 
 let column t i =
@@ -119,10 +157,10 @@ let fraction_eq t i x =
 
 type env = string -> t option
 
+(* Statistics are computed per relation on first access and kept for
+   the env's lifetime: an env handed to the optimizer or to EXPLAIN only
+   pays for the relations the expression actually scans. *)
 let env_of_database db =
-  (* Statistics are computed per relation on first access and memoised:
-     an env handed to the optimizer or to EXPLAIN only pays for the
-     relations the expression actually scans. *)
   let table =
     List.map
       (fun name -> (name, lazy (of_relation (Database.find name db))))

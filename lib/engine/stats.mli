@@ -26,6 +26,9 @@ type t = {
 }
 
 val of_relation : Relation.t -> t
+(** One pass over the bag: attribute 1 is counted in runs along the
+    bag's tuple order, every other attribute in a hash table of value
+    counts whose distinct values are then sorted once. *)
 
 val column : t -> int -> column
 (** 1-based, matching attribute addressing.
@@ -54,6 +57,9 @@ type env = string -> t option
 (** Statistics lookup for named relations. *)
 
 val env_of_database : Database.t -> env
-(** Compute statistics for every relation once, eagerly. *)
+(** Statistics of the relations [db] binds, each computed on its first
+    lookup and kept for the env's lifetime, so an env costs only the
+    relations an expression scans.  Nothing outlives the env: two envs
+    over the same relation compute its statistics twice. *)
 
 val pp : Format.formatter -> t -> unit

@@ -57,6 +57,109 @@ let test_stats_empty () =
   Alcotest.(check (float 1e-9)) "dup factor of empty" 1.0 (Stats.dup_factor s);
   Alcotest.(check bool) "no min" true ((Stats.column s 1).Stats.min_value = None)
 
+(* A list-based reference for [Stats.of_relation]: distinct values by
+   [List.sort_uniq Value.compare], counts by linear scans. *)
+let reference_stats r =
+  let pairs = Relation.to_counted_list r in
+  let schema = Relation.schema r in
+  let column i numeric =
+    let values = List.map (fun (t, n) -> (Tuple.attr t (i + 1), n)) pairs in
+    let distinct = List.sort_uniq Value.compare (List.map fst values) in
+    let count v =
+      List.fold_left
+        (fun acc (w, n) -> if Value.compare v w = 0 then acc + n else acc)
+        0 values
+    in
+    let running = ref 0 in
+    {
+      Stats.distinct = List.length distinct;
+      min_value = List.nth_opt distinct 0;
+      max_value = List.nth_opt (List.rev distinct) 0;
+      cumulative =
+        (if not numeric then [||]
+         else
+           Array.of_list
+             (List.map
+                (fun v ->
+                  running := !running + count v;
+                  (Value.as_float v, !running))
+                distinct));
+    }
+  in
+  {
+    Stats.cardinality = List.fold_left (fun acc (_, n) -> acc + n) 0 pairs;
+    support = List.length pairs;
+    columns =
+      Array.of_list
+        (List.mapi (fun i d -> column i (Domain.is_numeric d)) (Schema.domains schema));
+  }
+
+(* Field-by-field equality; values and histogram bounds compare by the
+   total orders, so [nan] equals [nan] and [0.0] equals [-0.0] — as in
+   the statistics themselves. *)
+let same_stats (a : Stats.t) (b : Stats.t) =
+  let same_value = Option.equal (fun v w -> Value.compare v w = 0) in
+  let same_column (c : Stats.column) (d : Stats.column) =
+    c.distinct = d.distinct
+    && same_value c.min_value d.min_value
+    && same_value c.max_value d.max_value
+    && Array.length c.cumulative = Array.length d.cumulative
+    && Array.for_all2
+         (fun (x, n) (y, m) -> Float.compare x y = 0 && n = m)
+         c.cumulative d.cumulative
+  in
+  a.cardinality = b.cardinality
+  && a.support = b.support
+  && Array.length a.columns = Array.length b.columns
+  && Array.for_all2 same_column a.columns b.columns
+
+(* The four domains in a rotation: attribute 1, which [of_relation]
+   counts in runs along the bag's tuple order, takes each domain in turn. *)
+let mixed_columns =
+  [ ("i", Domain.DInt); ("f", Domain.DFloat); ("s", Domain.DStr); ("b", Domain.DBool) ]
+
+let rotate k l = List.filteri (fun i _ -> i >= k) l @ List.filteri (fun i _ -> i < k) l
+
+let gen_mixed_relation =
+  let open QCheck.Gen in
+  let value_float = oneofl [ 0.0; -0.0; Float.nan; 1.5; -2.25; 1e300; 7.0 ] in
+  let tuple k =
+    map
+      (fun (i, f, s, b) ->
+        Tuple.of_list
+          (rotate k [ Value.Int i; Value.Float f; Value.Str s; Value.Bool b ]))
+      (quad (int_range (-3) 3) value_float (oneofl [ ""; "a"; "b"; "ab" ]) bool)
+  in
+  int_range 0 3 >>= fun k ->
+  frequency
+    [
+      (1, return []);
+      (6, list_size (int_range 0 40) (pair (tuple k) (int_range 1 4)));
+    ]
+  |> map (Relation.of_counted_list (Schema.of_list (rotate k mixed_columns)))
+
+let stats_match_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"hashed of_relation = list reference" ~count:300
+       (QCheck.make ~print:Relation.to_string gen_mixed_relation)
+       (fun r -> same_stats (Stats.of_relation r) (reference_stats r)))
+
+let test_env_after_update () =
+  let db1 = Database.of_relations [ ("upd", Database.find "l" db) ] in
+  let before = Option.get (Stats.env_of_database db1 "upd") in
+  Alcotest.(check int) "cardinality before" 4 before.Stats.cardinality;
+  let db2 =
+    Database.set "upd"
+      (Relation.add ~count:2 (tup 7 70) (Database.find "upd" db1))
+      db1
+  in
+  let after = Option.get (Stats.env_of_database db2 "upd") in
+  Alcotest.(check int) "cardinality after" 6 after.Stats.cardinality;
+  Alcotest.(check int) "distinct after" 4 (Stats.column after 1).Stats.distinct;
+  Alcotest.(check bool) "old state keeps its statistics" true
+    (same_stats before (Option.get (Stats.env_of_database db1 "upd")));
+  Alcotest.(check bool) "absent name" true (Stats.env_of_database db1 "nope" = None)
+
 (* --- cost model ---------------------------------------------------------- *)
 
 let stats = Stats.env_of_database db
@@ -414,6 +517,8 @@ let suite =
       Alcotest.test_case "statistics" `Quick test_stats;
       Alcotest.test_case "histograms" `Quick test_histograms;
       Alcotest.test_case "statistics of empty" `Quick test_stats_empty;
+      stats_match_reference;
+      Alcotest.test_case "stats env after an update" `Quick test_env_after_update;
       Alcotest.test_case "cost basics" `Quick test_cost_basics;
       Alcotest.test_case "cost: join vs product" `Quick test_cost_monotone_in_pipeline;
       Alcotest.test_case "selectivity" `Quick test_selectivity;
