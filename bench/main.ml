@@ -961,27 +961,26 @@ let e14_observability_overhead () =
    shared pool.  The planner is the thing under test as much as the
    executor: with [jobs > 1] it inserts Exchange only when
    [min jobs cores] > 1 and the input clears the profitability floor —
-   on a single-core host every plan stays sequential, so the curve must
-   be flat at 1.0x (the bench fails loudly if any level dips below
-   0.95x, the regression the old unconditional 512-row threshold
-   caused).  Every parallel result is checked bag-equal to the
-   sequential one before its timing counts; a degenerate chunk-size-1
-   run of the sequential plan is timed alongside as the tuple-at-a-time
-   comparison point.  The curve lands in BENCH_parallel.json for CI to
-   archive. *)
+   on a single-core host every plan stays sequential, so the curve is
+   flat at 1.0x (the old unconditional 512-row threshold regressed to
+   0.28x there).  Every parallel result is checked bag-equal to the
+   sequential one before its timing counts.  On one core the guarantee
+   is checked structurally, not by timing — a timing ratio of two runs
+   of the same plan measures host noise: every point's plan must equal
+   the sequential plan and the pool must have a single lane.  The curve
+   lands in BENCH_parallel.json for CI to archive. *)
 let e15_parallel_speedup () =
   header "E15  multicore speedup (retail join+aggregate, domain pool)";
   let orders = if quick then 4_000 else 20_000 in
   let cores = Planner.available_cores () in
-  let chunk = Exec.chunk_size () in
   let db =
     W.Retail.generate ~rng:(W.Rng.make 15) ~customers:(orders / 10) ~orders ()
   in
   let e = Opt.Optimizer.optimize_db db W.Retail.revenue_per_country in
   let seq_plan = Planner.plan db e in
   let baseline = Exec.run db seq_plan in
-  row "  %d orders, %d result rows, %d cores, chunk size %d@." orders
-    (Relation.cardinal baseline) cores chunk;
+  row "  %d orders, %d result rows, %d cores@." orders
+    (Relation.cardinal baseline) cores;
   let sweep =
     match jobs_cap with
     | None -> [ 1; 2; 4; 8 ]
@@ -997,7 +996,9 @@ let e15_parallel_speedup () =
            [min jobs cores] fragments, and a surplus idle domain would
            still join every minor collection. *)
         Ext.Pool.set_default_size (min jobs cores);
+        let lanes = Ext.Pool.size (Ext.Pool.global ()) in
         let plan = Planner.plan ~jobs db e in
+        let same_plan = plan = seq_plan in
         let exchanges = Physical.exchange_count plan in
         let result = Exec.run db plan in
         let equal = Relation.equal baseline result in
@@ -1012,28 +1013,16 @@ let e15_parallel_speedup () =
         in
         row "  %6d | %10.2f | %7.2fx | %9d | %b@." jobs ms speedup exchanges
           equal;
-        (jobs, ms, speedup, exchanges, equal))
+        (jobs, ms, speedup, exchanges, equal, same_plan, lanes))
       sweep
   in
   Ext.Pool.set_default_size 1;
-  (* The chunked-vs-tuple-at-a-time comparison point, measured after the
-     sweep so both sides run on a warmed-up host. *)
-  let seq_ms, chunk1_ms, _ =
-    interleaved_compare 5
-      (fun () -> Exec.run db seq_plan)
-      (fun () -> Exec.run ~chunk_size:1 db seq_plan)
-  in
-  row "  sequential %.2f ms chunked, %.2f ms tuple-at-a-time (chunk 1)@."
-    seq_ms chunk1_ms;
   let buf = Buffer.create 1024 in
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bpf "{\n  \"experiment\": \"E15-parallel-speedup\",\n";
-  bpf "  \"orders\": %d,\n  \"cores\": %d,\n  \"chunk_size\": %d,\n" orders
-    cores chunk;
-  bpf "  \"sequential_ms\": %.3f,\n  \"chunk1_ms\": %.3f,\n  \"points\": ["
-    seq_ms chunk1_ms;
+  bpf "  \"orders\": %d,\n  \"cores\": %d,\n  \"points\": [" orders cores;
   List.iteri
-    (fun i (jobs, ms, speedup, exchanges, equal) ->
+    (fun i (jobs, ms, speedup, exchanges, equal, _, _) ->
       if i > 0 then bpf ",";
       bpf "\n    {\"jobs\": %d, \"ms\": %.3f, \"speedup\": %.3f, \
            \"exchanges\": %d, \"bag_equal\": %b}"
@@ -1044,27 +1033,30 @@ let e15_parallel_speedup () =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf));
   row "  wrote %s@." path;
-  if not (List.for_all (fun (_, _, _, _, equal) -> equal) points) then (
+  if not (List.for_all (fun (_, _, _, _, equal, _, _) -> equal) points) then (
     row "  ERROR: a parallel result differed from the sequential one@.";
     exit 1);
   if cores = 1 then begin
     (* One core: the adaptive planner must have kept every plan
        sequential (no Exchange), and requesting parallelism must not
-       cost anything — the old unconditional threshold regressed to
-       0.28x here. *)
+       cost anything.  Both hold when each point runs the sequential
+       plan itself on a one-lane pool. *)
     List.iter
-      (fun (jobs, _, speedup, exchanges, _) ->
+      (fun (jobs, _, _, exchanges, _, same_plan, lanes) ->
         if exchanges > 0 then (
           row "  ERROR: jobs=%d inserted %d Exchange node(s) on 1 core@." jobs
             exchanges;
           exit 1);
-        if speedup < 0.95 then (
-          row "  ERROR: jobs=%d speedup %.2fx < 0.95x on 1 core — asking for \
-               parallelism made the query slower@."
-            jobs speedup;
+        if not same_plan then (
+          row "  ERROR: jobs=%d planned differently from the sequential plan \
+               on 1 core@."
+            jobs;
+          exit 1);
+        if lanes <> 1 then (
+          row "  ERROR: jobs=%d ran on a %d-lane pool on 1 core@." jobs lanes;
           exit 1))
       points;
-    row "  1-core guarantee holds: no Exchange, all speedups >= 0.95x@."
+    row "  1-core guarantee holds: no Exchange, the sequential plan, one lane@."
   end
 
 (* --------------------------------------------------------------- E17 *)
@@ -1772,10 +1764,11 @@ let e20_ash () =
   row "  ash rows: %d   classes: %s@."
     (Relation.cardinal ash_rel)
     (String.concat ", " classes);
-  (* Part C: progress monotonicity.  Stream a selection over 20k rows
-     pull-at-a-time with a live slot; every ~1k tuples read the
-     statement's sys.progress row and require rows and chunks never to
-     move backwards. *)
+  (* Part C: progress monotonicity.  Run a selection over 20k rows with
+     a live slot, taking the root's elements one at a time through
+     [Exec.iter]; every ~1k elements read the statement's sys.progress
+     row from inside the callback — the statement is still running —
+     and require rows and batches never to move backwards. *)
   let big =
     W.Synth.two_column_int ~rng ~size:(if quick then 5_000 else 20_000)
       ~distinct:100
@@ -1789,25 +1782,24 @@ let e20_ash () =
   let pslot = Obs.Ash.register ~lang:"xra" ~text:"progress probe" ~qid:pqid () in
   Obs.Ash.set_estimate pslot (float_of_int (Relation.cardinal big));
   let mono = ref true and probes = ref 0 and lr = ref 0 and lc = ref 0 in
-  let pulled = ref 0 in
+  let seen = ref 0 in
   Obs.Ash.with_slot pslot (fun () ->
-      Exec.stream ~chunk_size:256 pdb pplan
-      |> Seq.iter (fun _ ->
-             incr pulled;
-             if !pulled mod 997 = 0 then
-               match
-                 List.find_opt
-                   (fun p -> p.Obs.Ash.p_qid = pqid)
-                   (Obs.Ash.progress ())
-               with
-               | Some p ->
-                   incr probes;
-                   if p.Obs.Ash.p_rows < !lr || p.Obs.Ash.p_chunks < !lc then
-                     mono := false;
-                   if p.Obs.Ash.p_pct > 100.0 then mono := false;
-                   lr := p.Obs.Ash.p_rows;
-                   lc := p.Obs.Ash.p_chunks
-               | None -> mono := false));
+      Exec.iter pdb pplan (fun _ ->
+          incr seen;
+          if !seen mod 997 = 0 then
+            match
+              List.find_opt
+                (fun p -> p.Obs.Ash.p_qid = pqid)
+                (Obs.Ash.progress ())
+            with
+            | Some p ->
+                incr probes;
+                if p.Obs.Ash.p_rows < !lr || p.Obs.Ash.p_chunks < !lc then
+                  mono := false;
+                if p.Obs.Ash.p_pct > 100.0 then mono := false;
+                lr := p.Obs.Ash.p_rows;
+                lc := p.Obs.Ash.p_chunks
+            | None -> mono := false));
   Obs.Ash.finish pslot;
   Obs.Ash.set_enabled was_enabled;
   let gate_overhead = pct <= 5.0 in

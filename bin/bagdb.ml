@@ -92,8 +92,8 @@ let run_query ctx ~lang db e =
   in
   (* The activity-registry entry: from here to [finish] the statement
      is visible in sys.progress, and ASH samples attribute to its qid
-     and fingerprint.  With MXRA_ASH=0 the slot is inert and nothing
-     below pays for it. *)
+     and fingerprint.  With the registry disabled the slot is inert
+     and nothing below pays for it. *)
   let slot = Obs.Ash.register ~lang ~text ~qid () in
   Fun.protect ~finally:(fun () -> Obs.Ash.finish slot) @@ fun () ->
   Trace.with_context [ (Obs.Qid.attr_key, Trace.Str qid) ] @@ fun () ->
@@ -478,19 +478,6 @@ let resolve_isolation = function
 let jobs_flag =
   Arg.(value & opt int 1 & info [ "jobs" ] ~doc:"Execute plans on $(docv) domains: the planner inserts Exchange operators above large scans, joins and aggregates when profitable on this host's cores, and fragments run on a shared domain pool." ~docv:"N")
 
-(* [--chunk-size N]: morsel size of the chunked executor; the default
-   (or the MXRA_CHUNK_SIZE environment variable) is nursery-sized.
-   Results are bag-equal at every size — this knob exists for
-   experiments and for degenerate-size testing. *)
-let chunk_size_flag =
-  Arg.(value & opt (some int) None & info [ "chunk-size" ] ~doc:"Execute with $(docv)-tuple chunks instead of the default (MXRA_CHUNK_SIZE or 255). Results are identical at every size." ~docv:"N")
-
-let set_chunk_size = function
-  | None -> ()
-  | Some n ->
-      if n < 1 then invalid_arg "--chunk-size must be at least 1";
-      Mxra_engine.Exec.set_chunk_size n
-
 let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"SCRIPT")
 let expr_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR")
 
@@ -528,9 +515,8 @@ let guarded f =
 
 let script_cmd name ~doc runner =
   let action beer gen retail stats no_opt trace qlog slow db_dir no_ckpt seed
-      isolation jobs chunk path =
+      isolation jobs path =
     guarded (fun () ->
-        set_chunk_size chunk;
         with_tracing ~trace ~query_log:qlog ~slow_ms:slow (fun () ->
             with_store ~checkpoint:(not no_ckpt) db_dir
               (preload beer gen retail) (fun store db ->
@@ -553,7 +539,7 @@ let script_cmd name ~doc runner =
       const action $ beer_flag $ gen_flag $ retail_flag $ stats_flag
       $ no_optimize_flag $ trace_flag $ query_log_flag $ slow_flag $ db_flag
       $ no_checkpoint_flag $ seed_flag $ isolation_flag $ jobs_flag
-      $ chunk_size_flag $ path_arg)
+      $ path_arg)
 
 let run_cmd =
   script_cmd "run" ~doc:"Execute an XRA script." (fun ctx db path ->
@@ -564,9 +550,8 @@ let sql_cmd =
       run_sql ctx db path)
 
 let metrics_cmd =
-  let action beer gen retail no_opt seed isolation jobs chunk path =
+  let action beer gen retail no_opt seed isolation jobs path =
     guarded (fun () ->
-        set_chunk_size chunk;
         let agg = Obs.Agg_sink.create () in
         let totals = Mxra_engine.Metrics.create () in
         let ctx =
@@ -597,15 +582,14 @@ let metrics_cmd =
           in Prometheus text format.")
     Term.(
       const action $ beer_flag $ gen_flag $ retail_flag $ no_optimize_flag
-      $ seed_flag $ isolation_flag $ jobs_flag $ chunk_size_flag $ path_arg)
+      $ seed_flag $ isolation_flag $ jobs_flag $ path_arg)
 
 (* [bagdb stats]: run a script quietly (if given), then render the
    cumulative fingerprinted statement statistics — the same registry
    sys.statements materializes and /stmtz serves. *)
 let stats_cmd =
-  let action beer gen retail no_opt seed isolation jobs chunk json limit path =
+  let action beer gen retail no_opt seed isolation jobs json limit path =
     guarded (fun () ->
-        set_chunk_size chunk;
         let ctx =
           {
             optimize = not no_opt;
@@ -644,7 +628,7 @@ let stats_cmd =
           quantiles, rows, WAL bytes and lock waits.")
     Term.(
       const action $ beer_flag $ gen_flag $ retail_flag $ no_optimize_flag
-      $ seed_flag $ isolation_flag $ jobs_flag $ chunk_size_flag $ json $ limit
+      $ seed_flag $ isolation_flag $ jobs_flag $ json $ limit
       $ path)
 
 let analyze_flag =
@@ -656,9 +640,8 @@ let analyze_flag =
            estimated vs actual rows, per-operator q-error and wall time.")
 
 let explain_cmd =
-  let action beer gen retail analyze jobs chunk db_dir expr =
+  let action beer gen retail analyze jobs db_dir expr =
     guarded (fun () ->
-        set_chunk_size chunk;
         (* --db opens an existing store read-only (no checkpoint): the
            plan is explained against its recovered relations and index
            definitions — how index-path selection is pinned in tests. *)
@@ -668,7 +651,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc:"Optimize an XRA expression and show plans.")
     Term.(
       const action $ beer_flag $ gen_flag $ retail_flag $ analyze_flag
-      $ jobs_flag $ chunk_size_flag $ db_flag $ expr_arg)
+      $ jobs_flag $ db_flag $ expr_arg)
 
 (* Crash-recovery torture sweep over the in-memory fault-injecting VFS.
    On an oracle violation the reproduction command line (with the
@@ -775,9 +758,8 @@ let torture_cmd =
    live relation cardinalities. *)
 let serve_cmd =
   let action beer gen retail no_opt trace qlog slow db_dir no_ckpt seed
-      isolation jobs chunk port port_file interval_ms duration_ms script =
+      isolation jobs port port_file interval_ms duration_ms script =
     guarded (fun () ->
-        set_chunk_size chunk;
         let agg = Obs.Agg_sink.create () in
         with_tracing ~trace ~query_log:qlog ~slow_ms:slow ~agg (fun () ->
             with_store ~checkpoint:(not no_ckpt) db_dir
@@ -929,7 +911,7 @@ let serve_cmd =
     Term.(
       const action $ beer_flag $ gen_flag $ retail_flag $ no_optimize_flag
       $ trace_flag $ query_log_flag $ slow_flag $ db_flag $ no_checkpoint_flag
-      $ seed_flag $ isolation_flag $ jobs_flag $ chunk_size_flag $ port
+      $ seed_flag $ isolation_flag $ jobs_flag $ port
       $ port_file $ interval_ms $ duration_ms
       $ script)
 

@@ -3,57 +3,41 @@
     Operators exchange {e counted tuples} [(tuple, multiplicity)]: a
     relation holding one tuple a million times flows as a single element,
     which is the executable form of the paper's representation of
-    multi-sets as [(x, E(x))] pairs.  Counted tuples flow in {e chunks}
-    — non-empty arrays of up to {!chunk_size} elements — so pipelined
-    operators (scan, filter, project, the probe side of a hash join)
-    process morsels in tight loops instead of paying a closure per
-    element; blocking operators (hash join build, aggregation, distinct,
-    difference, intersection) materialise hash tables as before.
-    Chunking is pure plumbing: results are bag-equal at every chunk
-    size, including the degenerate size 1.
+    multi-sets as [(x, E(x))] pairs.  Execution is push-based: each
+    operator hands every counted tuple it produces straight to its
+    consumer — scans iterate the bag, σ and π wrap the consumer, joins
+    and products emit from their probe loops — while blocking operators
+    (hash join build, aggregation, distinct, difference, intersection)
+    fill their hash tables from their inputs and then emit.  Nothing is
+    buffered between operators, so equal tuples may arrive as several
+    elements; {!run} merges them into the result bag.
 
     Correctness contract: for every plan [p] and database [db],
     [run db p] equals [Eval.eval db (Physical.to_logical p)] — checked
-    property-style by the test suite, differentially across chunk sizes
-    and fragment counts. *)
+    property-style by the test suite, differentially across fragment
+    counts. *)
 
 open Mxra_relational
 open Mxra_core
 
-(** {1 Chunk size}
-
-    One process-wide default, overridable per call.  The initial value
-    is {!default_chunk_size}, or the [MXRA_CHUNK_SIZE] environment
-    variable when set to a positive integer (the CI leg that re-runs
-    the whole suite with one-tuple chunks sets it to 1). *)
-
-val default_chunk_size : int
-(** 255: with its header, the largest array the OCaml runtime still
-    allocates on the minor heap, which keeps chunks (and the tuples
-    they carry) from being promoted to the major heap mid-pipeline. *)
-
-val chunk_size : unit -> int
-(** The current process-wide default chunk size. *)
-
-val set_chunk_size : int -> unit
-(** Set the process-wide default; values below 1 are clamped to 1. *)
-
 (** {1 Execution} *)
 
-val run : ?chunk_size:int -> Database.t -> Physical.t -> Relation.t
+val run : Database.t -> Physical.t -> Relation.t
 (** Execute a plan to a materialised relation.
     @raise Database.Unknown_relation on a scan of an absent name.
     @raise Typecheck.Type_error if the plan's logical image is ill-typed.
     @raise Scalar.Eval_error / [Aggregate.Undefined] on dynamic failure. *)
 
-val run_expr : ?chunk_size:int -> Database.t -> Expr.t -> Relation.t
+val run_expr : Database.t -> Expr.t -> Relation.t
 (** Plan (with {!Planner.plan}) and execute a logical expression — the
     engine's one-call entry point. *)
 
-val stream : ?chunk_size:int -> Database.t -> Physical.t -> (Tuple.t * int) Seq.t
-(** The raw counted-tuple stream of a plan (chunks flattened), without
-    final materialisation; multiplicities of equal tuples may be split
-    across several elements. *)
+val iter : Database.t -> Physical.t -> (Tuple.t * int -> unit) -> unit
+(** [iter db p f] runs the plan and hands [f] every counted tuple the
+    root emits, without final materialisation; multiplicities of equal
+    tuples may be split across several elements.  Live progress
+    ({!Mxra_obs.Ash.with_slot}) advances as for {!run}, so [f] sees its
+    own statement's [sys.progress] row move. *)
 
 val tuples_moved : Database.t -> Physical.t -> int
 (** Execute while counting every counted-tuple element that crosses an
@@ -83,8 +67,12 @@ type op_metrics = {
   out_rows : int;  (** tuples emitted, weighted by multiplicity *)
   out_cells : int;  (** elements weighted by tuple arity *)
   wall_ms : float;
-      (** inclusive wall time: pulling from children counts towards the
-          parent too, as in EXPLAIN ANALYZE's actual time *)
+      (** wall time of the operator's run, inclusive of its children (as
+          in EXPLAIN ANALYZE's actual time) and exclusive of its
+          consumers.  Timing every element's hand-off to the consumer
+          would cost more than the work measured, so one hand-off in 64
+          is timed and the consumers' share is scaled up from those
+          samples: this figure is an estimate, the counts are exact. *)
   details : (string * int) list;  (** operator-specific gauges *)
 }
 
@@ -107,12 +95,12 @@ type analysis = {
           [rows-out], [operators], [wall] *)
 }
 
-val run_instrumented : ?chunk_size:int -> Database.t -> Physical.t -> analysis
+val run_instrumented : Database.t -> Physical.t -> analysis
 (** Execute with per-operator metrics.  Same result and same raising
-    behaviour as {!run}; element/row/cell counts are independent of the
-    chunk size. *)
+    behaviour as {!run}; element/row/cell counts equal what
+    {!tuples_moved} and {!cells_moved} count. *)
 
-val explain_analyze : ?chunk_size:int -> ?jobs:int -> Database.t -> Expr.t -> analysis
+val explain_analyze : ?jobs:int -> Database.t -> Expr.t -> analysis
 (** Plan (with {!Planner.plan}, forwarding [jobs]) and
     {!run_instrumented} — the engine's one-call EXPLAIN ANALYZE.
     Callers wanting the optimizer's plan should optimize the

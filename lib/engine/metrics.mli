@@ -3,9 +3,9 @@
     Monotonic counters and wall-clock duration accumulators, plus the
     per-operator record the instrumented executor fills in.  The only
     dependency is [Unix.gettimeofday]; there is no background thread,
-    no sampling — every figure is an exact count or a measured
-    accumulation, in the spirit of the counted-tuple representation
-    where cardinality accounting is exact rather than estimated. *)
+    and every counter is an exact count, in the spirit of the
+    counted-tuple representation where cardinality accounting is exact
+    rather than estimated. *)
 
 type counter
 (** A monotonically increasing integer. *)
@@ -65,7 +65,9 @@ type op = {
   elems : counter;  (** counted-tuple elements emitted *)
   rows : counter;  (** tuples emitted, weighted by multiplicity *)
   cells : counter;  (** elements weighted by tuple arity *)
-  wall : timer;  (** inclusive wall time — children included *)
+  wall : timer;
+      (** wall time, children included and consumers excluded; the
+          executor estimates the consumers' share by sampling *)
   mutable details : (string * int) list;
       (** operator-specific gauges: hash-build sizes, group counts,
           materialised inner sizes; insertion order, last write wins *)

@@ -26,8 +26,9 @@
        kind); identical samples fold into one tuple with
        multiplicity.}
     {- [sys.progress] — live statements from the activity registry
-       ({!Mxra_obs.Ash.progress}): current operator, chunks/rows
-       produced at the plan root, planner estimate and percent,
+       ({!Mxra_obs.Ash.progress}): current operator, progress
+       batches ([chunks]) and rows produced at the plan root, planner
+       estimate and percent,
        elapsed ms, current wait class.}}
 
     [attach] binds each as a {e temporary} relation

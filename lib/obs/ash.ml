@@ -4,12 +4,13 @@
 
    - the {e activity registry}: one slot per in-flight statement or
      transaction, keyed by qid, carrying fingerprint, start time, the
-     operator currently producing chunks, progress counters (rows and
-     chunks out of the plan root, advanced from the executor's chunk
-     loop) and the current wait state.  Registration and removal take
-     the lock; the per-chunk hot path ([advance], [set_operator]) is
-     plain mutable stores on the caller's own slot — racy reads by the
-     sampler are deliberate, a glance must not cost a lock.
+     operator currently producing, progress counters (rows and batches
+     out of the plan root, advanced by the executor once per batch of
+     root elements) and the current wait state.  Registration and
+     removal take the lock; the executor's hot path ([advance],
+     [set_operator]) is plain mutable stores on the caller's own slot —
+     racy reads by the sampler are deliberate, a glance must not cost a
+     lock.
 
    - the {e ASH ring}: a bounded buffer of samples.  Rows arrive two
      ways.  The sampler thread (or any caller of [sample_now])
@@ -22,8 +23,8 @@
      tuple), so the ring stays sampling-cheap while short-lived waits
      that a 100 ms cadence would miss still appear in [sys.ash].
 
-   [MXRA_ASH=0] (or the [set_enabled] switch) turns registration,
-   sampling and ring pushes off; [Wait] class counters stay on — they
+   The [set_enabled] switch turns registration, sampling and ring
+   pushes off; [Wait] class counters stay on — they
    are two atomics per event and carry no per-session state. *)
 
 type slot = {
@@ -32,9 +33,9 @@ type slot = {
   mutable s_text : string;
   mutable s_lang : string;
   s_start_us : float;
-  mutable s_operator : string;  (* operator that produced the last chunk *)
+  mutable s_operator : string;  (* operator that last started producing *)
   mutable s_rows : int;  (* root-output rows (multiplicity-weighted) *)
-  mutable s_chunks : int;  (* root-output chunks *)
+  mutable s_chunks : int;  (* root-output progress batches *)
   mutable s_est_rows : float;  (* planner estimate for the root; 0 = none *)
   mutable s_wait : Wait.class_ option;
   mutable s_wait_detail : string;
@@ -67,11 +68,7 @@ type progress = {
 
 (* --- the enabled switch ------------------------------------------------- *)
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "MXRA_ASH" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | Some _ | None -> true)
+let enabled_flag = Atomic.make true
 
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
@@ -183,7 +180,7 @@ let set_statement slot ?lang text =
 let set_estimate slot est =
   if slot.s_live then slot.s_est_rows <- Float.max 0.0 est
 
-(* Chunk-loop hot path: plain stores, no lock, no liveness branch — the
+(* Executor hot path: plain stores, no lock, no liveness branch — the
    disabled-mode dummy absorbs them harmlessly. *)
 let set_operator slot op = slot.s_operator <- op
 
@@ -331,7 +328,7 @@ let progress () =
 (* --- ambient slot (the executor's handle) ------------------------------- *)
 
 (* The running statement's slot, ambient for the duration of its
-   execution so the chunk loop in [Exec] can advance progress without
+   execution so [Exec] can advance progress without
    threading a parameter through every operator.  A plain ref: queries
    execute on the process's main thread (HTTP and sampler threads only
    read), and a disabled/dead slot never installs itself, so the

@@ -2,7 +2,7 @@
 
     The activity registry holds one {!type:slot} per in-flight
     statement (qid, fingerprint, current operator, monotonically
-    advancing row/chunk counters, current wait state); the ASH ring is
+    advancing row/batch counters, current wait state); the ASH ring is
     a bounded buffer of {!type:sample} rows fed both by cadence
     snapshots of the registry (each live session samples as its wait
     class, or [cpu.exec] when running) and by one event row per
@@ -10,8 +10,8 @@
     miss still appear.  [sys.ash] and [sys.progress] materialize from
     {!snapshot} and {!progress}.
 
-    [MXRA_ASH=0] (or {!set_enabled}) disables registration, sampling
-    and ring pushes; the {!Wait} class counters stay on. *)
+    {!set_enabled} disables registration, sampling and ring pushes;
+    the {!Wait} class counters stay on. *)
 
 type slot
 (** A registered session's activity record.  Obtained from
@@ -36,8 +36,10 @@ type progress = {
   p_fingerprint : string;
   p_lang : string;
   p_text : string;
-  p_operator : string;  (** operator that produced the last chunk *)
+  p_operator : string;  (** operator that last started producing *)
   p_chunks : int;
+      (** progress batches out of the plan root: the executor advances
+          once per 256 root elements and once for the remainder *)
   p_rows : int;
   p_est_rows : float;  (** planner estimate for the root; 0 = none *)
   p_pct : float;  (** rows vs. estimate, clamped to 100 *)
@@ -46,6 +48,8 @@ type progress = {
 }
 
 val enabled : unit -> bool
+(** The subsystem switch; starts true. *)
+
 val set_enabled : bool -> unit
 
 (** {1 Session lifecycle} *)
@@ -60,10 +64,12 @@ val set_estimate : slot -> float -> unit
 (** Planner cardinality estimate for the plan root. *)
 
 val set_operator : slot -> string -> unit
-(** Hot path (per chunk): operator currently producing. *)
+(** Hot path (once per operator run, at its first element): operator
+    currently producing. *)
 
 val advance : slot -> rows:int -> unit
-(** Hot path (per chunk): one more root chunk of [rows] rows. *)
+(** Hot path (per batch of root elements): one more batch of [rows]
+    rows. *)
 
 val set_wait : slot -> (Wait.class_ * string) option -> unit
 (** Enter ([Some (class, detail)]) or leave ([None]) a wait. *)
@@ -131,7 +137,7 @@ val clear : unit -> unit
 
 val with_slot : slot -> (unit -> 'a) -> 'a
 (** Make [slot] the ambient current statement for the duration of [f]
-    so the executor's chunk loop can find it without plumbing.  Inert
+    so the executor can find it without plumbing.  Inert
     slots are not installed (the executor's fast path stays
     [current () = None]). *)
 

@@ -11,8 +11,8 @@
    [record], the qid stays resolvable (bounded LRU) so late commit
    bytes still find their statement.
 
-   Everything is behind [enabled]: when the registry is off (env
-   MXRA_STMT_STATS=0|off|false, or [set_enabled false]) every call
+   Everything is behind [enabled]: when the registry is off
+   ([set_enabled false]) every call
    returns after one atomic load — that no-op path is what bench E17
    holds against the enabled path under the 5% budget. *)
 
@@ -48,11 +48,7 @@ type entry = {
   mutable last_qid : string;
 }
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "MXRA_STMT_STATS" with
-    | Some ("0" | "off" | "false") -> false
-    | _ -> true)
+let enabled_flag = Atomic.make true
 
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b

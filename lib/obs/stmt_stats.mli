@@ -10,8 +10,7 @@
     materializes as the [sys.statements] virtual relation. *)
 
 val enabled : unit -> bool
-(** The registry switch.  Starts true unless the environment says
-    [MXRA_STMT_STATS=0] (or [off] / [false]). *)
+(** The registry switch; starts true. *)
 
 val set_enabled : bool -> unit
 (** Flip the switch; when off, every call below is a single atomic

@@ -335,6 +335,57 @@ let test_tuples_moved () =
     true
     (Exec.tuples_moved db join_plan < Exec.tuples_moved db product_plan)
 
+(* [iter] hands over the root's raw elements: a ⊎ chain emits a tuple
+   once per branch it occurs in, and folding the elements gives [run]'s
+   bag. *)
+let test_iter_folds_to_run () =
+  let chain =
+    Expr.union (Expr.rel "l") (Expr.union (Expr.rel "l") (Expr.rel "r"))
+  in
+  let plan = Planner.plan db chain in
+  let elems = ref [] in
+  Exec.iter db plan (fun x -> elems := x :: !elems);
+  Alcotest.(check int) "one element per branch tuple" 9 (List.length !elems);
+  Alcotest.(check int) "(1, 10) split across two elements" 2
+    (List.length (List.filter (fun (t, _) -> Tuple.equal t (tup 1 10)) !elems));
+  let folded =
+    List.fold_left
+      (fun r (t, n) -> Relation.add ~count:n t r)
+      (Relation.empty s_kv) !elems
+  in
+  Alcotest.(check bool) "fold = run" true
+    (Relation.equal folded (Exec.run db plan));
+  Alcotest.(check int) "merged multiplicity" 4
+    (Relation.multiplicity (tup 1 10) folded)
+
+(* Live progress under an ambient slot: the root advances sys.progress
+   once per 256 elements and once for the remainder, and the operator
+   column names the last operator to start producing. *)
+let test_progress_batches () =
+  let n = 600 in
+  let rows = List.init n (fun i -> (tup i i, 1 + (i mod 3))) in
+  let big = Relation.of_counted_list s_kv rows in
+  let pdb = Database.of_relations [ ("big", big) ] in
+  let plan =
+    Planner.plan pdb
+      (Expr.select (Pred.ge (Scalar.attr 2) (Scalar.int 0)) (Expr.rel "big"))
+  in
+  let module Ash = Mxra_obs.Ash in
+  Ash.set_enabled true;
+  let slot = Ash.register ~qid:"q-progress-batches" () in
+  Fun.protect ~finally:(fun () -> Ash.finish slot) @@ fun () ->
+  let result = Ash.with_slot slot (fun () -> Exec.run pdb plan) in
+  let p =
+    List.find (fun p -> p.Ash.p_qid = "q-progress-batches") (Ash.progress ())
+  in
+  Alcotest.(check int) "every row out"
+    (List.fold_left (fun acc (_, m) -> acc + m) 0 rows)
+    (Relation.cardinal result);
+  Alcotest.(check int) "rows = root rows" (Relation.cardinal result) p.Ash.p_rows;
+  Alcotest.(check int) "batches = ceil(elements / 256)" ((n + 255) / 256)
+    p.Ash.p_chunks;
+  Alcotest.(check string) "operator" (Physical.kind plan) p.Ash.p_operator
+
 (* --- metrics and instrumented execution ----------------------------------- *)
 
 let test_metrics_registry () =
@@ -474,30 +525,6 @@ let counters_match_moved =
     (QCheck.Test.make ~name:"per-operator counters = tuples/cells_moved"
        ~count:200 QCheck.small_nat test)
 
-(* Satellite: instrumentation counts physical facts — elements, rows,
-   cells — not plumbing, so they must not change with the chunk size
-   (and EXPLAIN ANALYZE output stays pinnable in the cram tests even
-   under the chunk-size-1 CI leg). *)
-let counters_chunk_size_independent =
-  let test seed =
-    let scen = W.Gen_expr.scenario ~seed ~depth:4 in
-    let db = scen.W.Gen_expr.db in
-    let plan = Planner.plan db scen.W.Gen_expr.expr in
-    let counts chunk_size =
-      let a = Exec.run_instrumented ~chunk_size db plan in
-      List.map
-        (fun (r : Exec.report) ->
-          (r.Exec.actual.Exec.out_elems, r.Exec.actual.Exec.out_rows,
-           r.Exec.actual.Exec.out_cells))
-        (flatten_report a.Exec.root)
-    in
-    let reference = counts 255 in
-    List.for_all (fun cs -> counts cs = reference) [ 1; 7; 64; 1024 ]
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"instrumented counts independent of chunk size"
-       ~count:100 QCheck.small_nat test)
-
 (* --- the central property: engine = reference evaluator -------------------- *)
 
 let engine_matches_reference =
@@ -530,12 +557,15 @@ let suite =
       Alcotest.test_case "every operator matches reference" `Quick test_exec_each_operator;
       Alcotest.test_case "empty aggregates" `Quick test_exec_empty_aggregate;
       Alcotest.test_case "tuples_moved instrumentation" `Quick test_tuples_moved;
+      Alcotest.test_case "iter elements fold to run's bag" `Quick
+        test_iter_folds_to_run;
+      Alcotest.test_case "progress advances per 256 root elements" `Quick
+        test_progress_batches;
       Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
       Alcotest.test_case "q-error" `Quick test_q_error;
       Alcotest.test_case "explain analyze on a 2-join query" `Quick
         test_explain_analyze_two_join;
       instrumented_matches_reference;
       counters_match_moved;
-      counters_chunk_size_independent;
       engine_matches_reference;
     ] )

@@ -190,28 +190,21 @@ let rule_properties = List.map rule_property Equiv.all_rules
 (* [Equiv.equivalent_on] checks the laws against the reference
    evaluator; these properties check them against what actually runs:
    both sides of each fired rule are planned and executed at every
-   (chunk size, fragment count) combination of the differential matrix
-   — chunk sizes {1, 7, 64, 1024} × jobs {1, 2, 4} — and all results
-   must be the same bag.  A law that held in Eval but broke in a
-   physical operator, in its parallel split, or only at a particular
-   chunk boundary surfaces here. *)
+   fragment count — jobs {1, 2, 4} — and all results must be the same
+   bag.  A law that held in Eval but broke in a physical operator or in
+   its parallel split surfaces here. *)
 let () = Mxra_ext.Pool.set_default_size 4
 
-let chunk_sizes = [ 1; 7; 64; 1024 ]
 let jobs_list = [ 1; 2; 4 ]
 
-(* All twelve (chunk, jobs) executions of [e]; [cores:jobs] because on
-   a single-core host the adaptive planner would otherwise — correctly
-   — refuse to insert Exchange at all. *)
+(* The executions of [e] at every width; [cores:jobs] because on a
+   single-core host the adaptive planner would otherwise — correctly —
+   refuse to insert Exchange at all. *)
 let exec_matrix db e =
-  List.concat_map
+  List.map
     (fun jobs ->
-      let plan =
-        Mxra_engine.Planner.plan ~jobs ~cores:jobs ~parallel_threshold:0 db e
-      in
-      List.map
-        (fun chunk_size -> Mxra_engine.Exec.run ~chunk_size db plan)
-        chunk_sizes)
+      Mxra_engine.Exec.run db
+        (Mxra_engine.Planner.plan ~jobs ~cores:jobs ~parallel_threshold:0 db e))
     jobs_list
 
 let differential_property (rule : Equiv.rule) =

@@ -2,8 +2,8 @@
    structure correctness against the reference evaluator, incremental
    maintenance through the write observer (including abort-style
    reversion to earlier states), planner selection of index paths, and
-   the differential harness over indexed plans — chunk sizes × jobs,
-   every result bag-equal to Eval. *)
+   the differential harness over indexed plans across jobs, every
+   result bag-equal to Eval. *)
 
 open Mxra_relational
 open Mxra_core
@@ -381,14 +381,9 @@ let test_indexed_plans_differential () =
             (Printf.sprintf "forced plan uses an index (%s)" (Expr.to_string e))
             true
             (plan_has (fun n -> is_index_scan n || is_index_join n) plan);
-          List.iter
-            (fun chunk_size ->
-              check_rel
-                (Printf.sprintf "%s [chunk=%d jobs=%d]" (Expr.to_string e)
-                   chunk_size jobs)
-                expected
-                (Engine.Exec.run ~chunk_size db plan))
-            [ 1; 7; 64; 1024 ])
+          check_rel
+            (Printf.sprintf "%s [jobs=%d]" (Expr.to_string e) jobs)
+            expected (Engine.Exec.run db plan))
         [ 1; 2; 4 ])
     queries
 

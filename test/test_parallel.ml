@@ -159,14 +159,12 @@ let exchange_plans_match =
           Relation.equal (Eval.eval db e) (Engine.Exec.run db plan))
         (queries (Expr.Const a)))
 
-(* --- chunked execution: the differential harness ----------------------- *)
+(* --- the differential harness ------------------------------------------ *)
 
-(* The tentpole contract: chunked execution is bag-equal to the
-   reference evaluator for {e every} physical operator, at every chunk
-   size in {1, 7, 64, 1024} (degenerate, ragged, nursery-sized, beyond
-   the minor-heap limit) and every fragment count in {1, 2, 4}. *)
+(* The executor's contract: execution is bag-equal to the reference
+   evaluator for {e every} physical operator, at every fragment count
+   in {1, 2, 4}. *)
 
-let chunk_sizes = [ 1; 7; 64; 1024 ]
 let jobs_list = [ 1; 2; 4 ]
 
 let diff_db seed =
@@ -238,71 +236,57 @@ let test_operator_coverage () =
       "HashDistinct"; "HashAggregate"; "Exchange";
     ]
 
-let chunked_operators_match_eval =
+let operators_match_eval =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:"chunked exec = Eval, all operators × chunk sizes × jobs"
-       ~count:25 QCheck.small_nat (fun seed ->
+    (QCheck.Test.make ~name:"exec = Eval, all operators × jobs" ~count:25
+       QCheck.small_nat (fun seed ->
          let a, db = diff_db seed in
          List.for_all
            (fun e ->
              let expected = Eval.eval db e in
              List.for_all
                (fun jobs ->
-                 let plan = plan_at ~jobs db e in
-                 List.for_all
-                   (fun chunk_size ->
-                     Relation.equal expected
-                       (Engine.Exec.run ~chunk_size db plan))
-                   chunk_sizes)
+                 Relation.equal expected (Engine.Exec.run db (plan_at ~jobs db e)))
                jobs_list)
            (operator_exprs a)))
 
-(* Metamorphic: beyond matching Eval, every (chunk size, jobs) pair must
-   agree with every other — on random well-typed expressions, so shapes
-   the hand-written operator list misses are covered too. *)
-let metamorphic_chunk_jobs =
+(* Metamorphic: beyond matching Eval, every jobs width must agree with
+   every other — on random well-typed expressions, so shapes the
+   hand-written operator list misses are covered too. *)
+let metamorphic_jobs =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"identical results across all (chunk, jobs) pairs"
+    (QCheck.Test.make ~name:"identical results across all jobs widths"
        ~count:40 QCheck.small_nat (fun seed ->
          let scen = W.Gen_expr.scenario ~seed ~depth:4 in
          let db = scen.W.Gen_expr.db in
          match
-           List.concat_map
+           List.map
              (fun jobs ->
-               let plan =
-                 Engine.Planner.plan ~jobs ~cores:jobs ~parallel_threshold:0 db
-                   scen.W.Gen_expr.expr
-               in
-               List.map
-                 (fun chunk_size -> Engine.Exec.run ~chunk_size db plan)
-                 chunk_sizes)
+               Engine.Exec.run db
+                 (Engine.Planner.plan ~jobs ~cores:jobs ~parallel_threshold:0
+                    db scen.W.Gen_expr.expr))
              jobs_list
          with
          | [] -> true
          | r0 :: rest -> List.for_all (Relation.equal r0) rest
          | exception Aggregate.Undefined _ -> true))
 
-(* --- chunk-boundary edge cases ----------------------------------------- *)
+(* --- edge-case inputs ------------------------------------------------- *)
 
 let s_kv = Schema.of_list [ ("k", Domain.DInt); ("v", Domain.DInt) ]
 let kv a b = Tuple.of_list [ Value.Int a; Value.Int b ]
 
-let check_chunked_equals_eval name db e =
+let check_equals_eval name db e =
   let expected = Eval.eval db e in
   List.iter
-    (fun chunk_size ->
-      List.iter
-        (fun jobs ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s (chunk=%d, jobs=%d)" name chunk_size jobs)
-            true
-            (Relation.equal expected
-               (Engine.Exec.run ~chunk_size db (plan_at ~jobs db e))))
-        jobs_list)
-    (chunk_sizes @ [ Engine.Exec.default_chunk_size ])
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (jobs=%d)" name jobs)
+        true
+        (Relation.equal expected (Engine.Exec.run db (plan_at ~jobs db e))))
+    jobs_list
 
-let test_chunk_boundary_empty () =
+let test_edge_empty () =
   let db =
     Database.of_relations
       [
@@ -312,7 +296,7 @@ let test_chunk_boundary_empty () =
       ]
   in
   List.iter
-    (fun (name, e) -> check_chunked_equals_eval name db e)
+    (fun (name, e) -> check_equals_eval name db e)
     [
       ("σ over empty", Expr.select (Pred.lt (Scalar.attr 1) (Scalar.int 3)) (Expr.rel "a"));
       ("empty ⋈ non-empty", Expr.join (Pred.eq (Scalar.attr 1) (Scalar.attr 3)) (Expr.rel "a") (Expr.rel "c"));
@@ -320,39 +304,22 @@ let test_chunk_boundary_empty () =
       ("Γ keys over empty", Expr.group_by [ 1 ] [ (Aggregate.Cnt, 1) ] (Expr.rel "a"));
     ]
 
-let test_chunk_boundary_exact_multiple () =
-  (* Cardinality an exact multiple of the chunk size: 510 = 2 × 255
-     distinct rows, so the final chunk is exactly full and no ragged
-     tail chunk exists (the lazy chunker must still terminate cleanly,
-     not emit a trailing empty chunk). *)
+let test_edge_510_rows () =
+  (* 510 distinct rows in 17 groups. *)
   let rows = List.init 510 (fun i -> (kv (i mod 17) i, 1)) in
   let db = Database.of_relations [ ("a", Relation.of_counted_list s_kv rows) ] in
   List.iter
-    (fun (name, e) -> check_chunked_equals_eval name db e)
+    (fun (name, e) -> check_equals_eval name db e)
     [
-      ("σ at exact multiple", Expr.select (Pred.lt (Scalar.attr 1) (Scalar.int 9)) (Expr.rel "a"));
-      ("δ at exact multiple", Expr.unique (Expr.project_attrs [ 1 ] (Expr.rel "a")));
-      ("Γ at exact multiple", Expr.group_by [ 1 ] [ (Aggregate.Sum, 2) ] (Expr.rel "a"));
-    ];
-  (* ... and with the chunk size equal to the whole cardinality, and to
-     exact divisors, the same plans must still agree. *)
-  let e = Expr.group_by [ 1 ] [ (Aggregate.Cnt, 1) ] (Expr.rel "a") in
-  let expected = Eval.eval db e in
-  List.iter
-    (fun chunk_size ->
-      Alcotest.(check bool)
-        (Printf.sprintf "divisor chunk %d" chunk_size)
-        true
-        (Relation.equal expected
-           (Engine.Exec.run ~chunk_size db
-              (Engine.Planner.plan db e))))
-    [ 2; 3; 5; 6; 10; 17; 30; 51; 85; 102; 170; 255; 510 ]
+      ("σ over 510 rows", Expr.select (Pred.lt (Scalar.attr 1) (Scalar.int 9)) (Expr.rel "a"));
+      ("δ over 510 rows", Expr.unique (Expr.project_attrs [ 1 ] (Expr.rel "a")));
+      ("Γ over 510 rows", Expr.group_by [ 1 ] [ (Aggregate.Sum, 2) ] (Expr.rel "a"));
+    ]
 
-let test_chunk_boundary_duplicates () =
-  (* Duplicate-heavy bags: multiplicities well past any chunk size, and
-     a ⊎-chain whose equal tuples arrive in different chunks — at chunk
-     size 1, every counted element is its own chunk, so merging equal
-     tuples across chunk boundaries is fully exercised. *)
+let test_edge_duplicates () =
+  (* Duplicate-heavy bags: large multiplicities, and a ⊎-chain whose
+     equal tuples arrive as separate elements that the consumers must
+     merge. *)
   let heavy =
     Relation.of_counted_list s_kv
       [ (kv 1 1, 1000); (kv 2 2, 997); (kv 3 3, 1) ]
@@ -362,7 +329,7 @@ let test_chunk_boundary_duplicates () =
     Expr.union (Expr.rel "a") (Expr.union (Expr.rel "a") (Expr.rel "a"))
   in
   List.iter
-    (fun (name, e) -> check_chunked_equals_eval name db e)
+    (fun (name, e) -> check_equals_eval name db e)
     [
       ("δ over multiplicity 1000", Expr.unique (Expr.rel "a"));
       ("Γ over multiplicity 1000", Expr.group_by [ 1 ] [ (Aggregate.Cnt, 1); (Aggregate.Sum, 2) ] (Expr.rel "a"));
@@ -632,14 +599,12 @@ let suite =
       exchange_plans_match;
       Alcotest.test_case "differential harness reaches every operator" `Quick
         test_operator_coverage;
-      chunked_operators_match_eval;
-      metamorphic_chunk_jobs;
-      Alcotest.test_case "chunk boundaries: empty inputs" `Quick
-        test_chunk_boundary_empty;
-      Alcotest.test_case "chunk boundaries: exact multiples" `Quick
-        test_chunk_boundary_exact_multiple;
-      Alcotest.test_case "chunk boundaries: duplicate-heavy bags" `Quick
-        test_chunk_boundary_duplicates;
+      operators_match_eval;
+      metamorphic_jobs;
+      Alcotest.test_case "edge cases: empty inputs" `Quick test_edge_empty;
+      Alcotest.test_case "edge cases: 510 rows" `Quick test_edge_510_rows;
+      Alcotest.test_case "edge cases: duplicate-heavy bags" `Quick
+        test_edge_duplicates;
       Alcotest.test_case "adaptive planner: one core, no Exchange" `Quick
         test_one_core_never_exchanges;
       Alcotest.test_case "Exchange feedback bar" `Quick test_feedback_bar;
